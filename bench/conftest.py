@@ -1,0 +1,6 @@
+"""Import the library from ``src/`` when the benchmark's tests run."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
