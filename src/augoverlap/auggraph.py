@@ -5,19 +5,21 @@ An edge (i, j) exists when the closest pair of views of anchors i and j is
 within the threshold (euclidean metric) or at least as similar as the
 threshold (cosine metric). The threshold is recorded on the graph so runs
 stay comparable.
+
+Every graph quantity is computed from one representation, the dense boolean
+adjacency returned by ``AugGraph.neighbors()``: components by a frontier
+sweep, per-class diameters and bipartiteness by an all-source
+level-synchronous BFS, and per-class spectra by ``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundInputs
 from .data import LabelSet, ViewSet
-from .errors import PowerIterationError
 
 INF = math.inf
 
@@ -30,22 +32,12 @@ class AugGraph:
     metric: str
     edge_scores: dict = field(default_factory=dict, compare=False)  # (i, j) -> min view distance / max similarity
 
-    def adjacency(self, vertices=None) -> np.ndarray:
-        """Dense 0/1 adjacency, optionally restricted to a vertex subset."""
-        if vertices is None:
-            vertices = range(self.n)
-        index = {v: p for p, v in enumerate(vertices)}
-        a = np.zeros((len(index), len(index)))
-        for i, j in self.edges:
-            if i in index and j in index:
-                a[index[i], index[j]] = a[index[j], index[i]] = 1.0
-        return a
-
-    def neighbors(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
+    def neighbors(self) -> np.ndarray:
+        """Dense boolean adjacency, n x n, symmetric with an empty diagonal."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        if self.edges:
+            i, j = np.array(list(self.edges)).T
+            adj[i, j] = adj[j, i] = True
         return adj
 
 
@@ -70,40 +62,6 @@ class GraphStats:
     omega: float  # min over classes
     lambda1: float  # min over classes of |lambda_1k|
     lambda2_abs: float  # max over classes of |lambda_2k|
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    alpha: float
-    epsilon: float
-    intra_class_connected: bool
-    disconnected_classes: list
-    label_consistent: bool
-    stats: GraphStats
-    bound_inputs: BoundInputs
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
 
 
 def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> AugGraph:
@@ -144,138 +102,91 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
     return AugGraph(n=n, edges=frozenset(edges), threshold=threshold, metric=metric, edge_scores=scores)
 
 
-def connected_components(g: AugGraph) -> list:
-    uf = UnionFind(g.n)
-    for i, j in g.edges:
-        uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(uf.find(v), []).append(v)
-    return sorted(groups.values(), key=lambda grp: grp[0])
-
-
-def _bfs_ecc(adj: list, src: int, members: list) -> dict:
-    dist = {src: 0}
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
-
-
-def subgraph_diameter(adj: list, members: list) -> float:
-    """All-pairs BFS diameter of a connected vertex subset; inf if not connected."""
-    if len(members) == 1:
-        return 0.0
-    diameter = 0
-    member_set = set(members)
-    for src in members:
-        dist = _bfs_ecc(adj, src, members)
-        if set(dist) != member_set:
-            return INF
-        diameter = max(diameter, max(dist.values()))
-    return float(diameter)
-
-
-def is_bipartite(adj: list, members: list) -> bool:
-    color = {}
-    for start in members:
-        if start in color:
+def _components(adj: np.ndarray) -> list:
+    """Connected components of a boolean adjacency by frontier sweeps."""
+    n = adj.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    groups = []
+    for start in range(n):
+        if seen[start]:
             continue
-        color[start] = 0
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    q.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+        frontier = np.zeros(n, dtype=bool)
+        frontier[start] = True
+        reach = frontier.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~reach
+            reach |= frontier
+        seen |= reach
+        groups.append(np.flatnonzero(reach).tolist())
+    return groups
 
 
-def top_eigenpair(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> tuple[float, np.ndarray]:
-    """Perron eigenpair of a symmetric nonnegative adjacency matrix.
+def connected_components(g: AugGraph) -> list:
+    """Vertex lists of the connected components, each ascending, ordered by
+    their first vertex."""
+    return _components(g.neighbors())
 
-    Iterates on A + I so the dominant eigenvalue is strictly largest even for
-    bipartite graphs; the iterate is kept nonnegative so the returned vector
-    is the Perron vector on each connected input.
+
+def _bfs(block: np.ndarray) -> tuple[float, bool]:
+    """All-source, level-synchronous BFS on a square boolean block: (diameter,
+    bipartite). Row i of ``frontier`` holds the vertices at the current level
+    from source i. The diameter is inf when some source misses a vertex. An edge
+    joining two vertices of one level closes an odd cycle, so the block is
+    bipartite exactly when no level has one."""
+    # float32 products go through BLAS; their 0/1 sums are exact below 2**24
+    weights = block.astype(np.float32)
+    reach = np.eye(block.shape[0], dtype=bool)
+    frontier = reach
+    levels, bipartite = 0, True
+    while True:
+        step = (frontier.astype(np.float32) @ weights) > 0
+        bipartite = bipartite and not (step & frontier).any()
+        frontier = step & ~reach
+        if not frontier.any():
+            break
+        reach |= frontier
+        levels += 1
+    return (float(levels) if reach.all() else INF), bipartite
+
+
+def subgraph_diameter(adj: np.ndarray, members: list) -> float:
+    """All-pairs BFS diameter of a vertex subset of a boolean adjacency; inf if
+    the subset is not connected."""
+    return _bfs(adj[np.ix_(members, members)])[0]
+
+
+def is_bipartite(adj: np.ndarray, members: list) -> bool:
+    return _bfs(adj[np.ix_(members, members)])[1]
+
+
+def adjacency_spectrum(a: np.ndarray) -> tuple[float, float, float]:
+    """(lambda_1, |lambda_2|, omega) of a symmetric adjacency matrix by one dense
+    eigendecomposition.
+
+    lambda_1 is the top eigenvalue and omega the smallest entry magnitude of its
+    eigenvector (the Perron vector of a connected graph). |lambda_2| is the
+    largest magnitude among the other eigenvalues, capped at lambda_1; on a
+    bipartite graph -lambda_1 is among them, so it equals lambda_1 up to
+    rounding. A 1 x 1 matrix gives (0, 0, 1).
     """
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise ValueError("empty matrix")
-    shifted = a + np.eye(n)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(max_iter):
-        w = shifted @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0, v
-        w /= norm
-        lam = float(w @ (a @ w))
-        residual = float(np.linalg.norm(a @ w - lam * w))
-        v = w
-        if residual <= tol * max(1.0, abs(lam)):
-            return lam, np.abs(v)
-    raise PowerIterationError(f"top eigenpair did not converge, residual {residual:.3e}")
+    w, v = np.linalg.eigh(a)
+    lam1 = float(w[-1])
+    lam2 = min(float(np.abs(w[:-1]).max(initial=0.0)), lam1)
+    return lam1, lam2, float(np.abs(v[:, -1]).min())
 
 
-def second_eigenvalue_abs(a: np.ndarray, lambda1: float, v1: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> float:
-    """|lambda_2| by power iteration on the squared, deflated adjacency.
-
-    Squaring removes the sign ambiguity when lambda_2 and lambda_n tie in
-    magnitude, which otherwise stalls plain deflated iteration.
-    """
-    n = a.shape[0]
-    if n < 2:
-        return 0.0
-    deflated = a - lambda1 * np.outer(v1, v1)
-    squared = deflated @ deflated
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
-    v -= (v @ v1) * v1
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return 0.0
-    v /= norm
-    for _ in range(max_iter):
-        w = squared @ v
-        w -= (w @ v1) * v1  # re-project, guards against drift
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        lam_sq = float(w @ (squared @ w))
-        residual = float(np.linalg.norm(squared @ w - lam_sq * w))
-        v = w
-        if residual <= tol * max(1.0, abs(lam_sq)):
-            return math.sqrt(max(lam_sq, 0.0))
-    raise PowerIterationError(f"second eigenvalue did not converge, residual {residual:.3e}")
-
-
-def class_spectrum(g: AugGraph, members: list, adj: list) -> ClassGraphStats:
-    """Connectivity, diameter and adjacency spectrum of one intra-class subgraph."""
-    size = len(members)
-    sub_adj = [[w for w in adj[v] if w in set(members)] for v in range(g.n)]
-    diameter = subgraph_diameter(sub_adj, members)
-    connected = not math.isinf(diameter)
-    if size == 1:
-        return ClassGraphStats(size=1, connected=True, diameter=0.0, lambda1=0.0, lambda2_abs=0.0, omega=1.0, bipartite=True)
-    a = g.adjacency(members)
-    if not connected:
-        return ClassGraphStats(size=size, connected=False, diameter=INF, lambda1=0.0, lambda2_abs=0.0, omega=0.0, bipartite=is_bipartite(sub_adj, members))
-    bip = is_bipartite(sub_adj, members)
-    lam1, v1 = top_eigenpair(a)
-    if bip:
-        lam2 = lam1  # -lambda1 is in the spectrum, deflation is unstable there
-    else:
-        lam2 = second_eigenvalue_abs(a, lam1, v1)
-    omega = float(np.min(np.abs(v1)))
-    return ClassGraphStats(size=size, connected=True, diameter=diameter, lambda1=lam1, lambda2_abs=min(lam2, lam1), omega=omega, bipartite=bip)
+def class_graph_stats(block: np.ndarray) -> ClassGraphStats:
+    """Connectivity, diameter, bipartiteness and adjacency spectrum of one
+    intra-class block of the boolean adjacency; a disconnected block gets no
+    spectrum (zeros)."""
+    size = block.shape[0]
+    diameter, bipartite = _bfs(block)
+    if math.isinf(diameter):
+        return ClassGraphStats(size=size, connected=False, diameter=INF, lambda1=0.0, lambda2_abs=0.0, omega=0.0, bipartite=bipartite)
+    lam1, lam2, omega = adjacency_spectrum(block.astype(np.float64))
+    return ClassGraphStats(size=size, connected=True, diameter=diameter, lambda1=lam1, lambda2_abs=lam2, omega=omega, bipartite=bipartite)
 
 
 def graph_stats(g: AugGraph, labels: LabelSet) -> GraphStats:
@@ -283,21 +194,23 @@ def graph_stats(g: AugGraph, labels: LabelSet) -> GraphStats:
     if labels.n != g.n:
         raise ValueError(f"labels have n={labels.n}, graph has n={g.n}")
     adj = g.neighbors()
-    components = connected_components(g)
+    components = _components(adj)
 
     per_class = []
+    intra = 0
     for k in range(labels.k):
-        members = [int(v) for v in np.flatnonzero(labels.labels == k)]
-        if not members:
+        members = np.flatnonzero(labels.labels == k)
+        if not members.size:
             raise ValueError(f"class {k} is empty")
-        per_class.append(class_spectrum(g, members, adj))
+        block = adj[np.ix_(members, members)]
+        intra += int(block.sum()) // 2
+        per_class.append(class_graph_stats(block))
 
     d_max = max(cs.diameter for cs in per_class)
     total_edges = len(g.edges)
     if total_edges == 0:
         intra_fraction, no_edges = 1.0, True
     else:
-        intra = sum(1 for i, j in g.edges if labels.labels[i] == labels.labels[j])
         intra_fraction, no_edges = intra / total_edges, False
 
     return GraphStats(
@@ -309,40 +222,4 @@ def graph_stats(g: AugGraph, labels: LabelSet) -> GraphStats:
         omega=min(cs.omega for cs in per_class),
         lambda1=min(cs.lambda1 for cs in per_class),
         lambda2_abs=max(cs.lambda2_abs for cs in per_class),
-    )
-
-
-def assumption_report(
-    g: AugGraph,
-    labels: LabelSet,
-    pairs_alpha: float,
-    epsilon: float,
-    l_contr: float = 0.0,
-    cond_variance: float = 0.0,
-    m_negatives: int = 1,
-) -> AssumptionReport:
-    """Check the connectivity / label-consistency / alignment assumptions and
-    assemble a ready-to-use bound-input record."""
-    stats = graph_stats(g, labels)
-    disconnected = [k for k, cs in enumerate(stats.per_class) if not cs.connected]
-    inputs = BoundInputs(
-        l_contr=l_contr,
-        cond_variance=cond_variance,
-        alpha=pairs_alpha,
-        epsilon=epsilon,
-        diameter=stats.d_max,
-        omega=stats.omega,
-        lambda1=stats.lambda1,
-        lambda2_abs=min(stats.lambda2_abs, stats.lambda1),
-        m_negatives=m_negatives,
-        k_classes=labels.k,
-    )
-    return AssumptionReport(
-        alpha=pairs_alpha,
-        epsilon=epsilon,
-        intra_class_connected=not disconnected,
-        disconnected_classes=disconnected,
-        label_consistent=pairs_alpha == 0.0,
-        stats=stats,
-        bound_inputs=inputs,
     )

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import auggraph, bounds, data, geomsim, losses, metrics, synth, trainer
-from .errors import PowerIterationError, TrainingDivergenceError
+from .errors import TrainingDivergenceError
 
 DEFAULT_M_GRID = "2,4,8,16,32,64,128,256,512,1024,2048,4096"
 
@@ -415,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".", help="output directory (manifest.json always written)")
-        p.add_argument("--format", choices=["json", "csv"], default="json", help="stdout summary format")
 
     p = sub.add_parser("bounds", help="bound-comparison CSV: M, ours_upper, ours_lower, arora, nozawa, ash, bao")
     p.add_argument("--m-grid", type=_int_grid, default=_int_grid(DEFAULT_M_GRID))
@@ -516,7 +515,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PowerIterationError, TrainingDivergenceError, OSError, ValueError) as exc:
+    except (TrainingDivergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,10 @@ class UndefinedMetricError(ValueError):
 
 
 class PowerIterationError(RuntimeError):
-    """Eigenvalue iteration failed to converge; message carries the residual."""
+    """Eigenvalue iteration failed to converge; message carries the residual.
+
+    No library function raises it (spectra come from ``numpy.linalg.eigh``);
+    it stays importable for code that catches it."""
 
 
 class TrainingDivergenceError(RuntimeError):

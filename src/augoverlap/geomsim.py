@@ -170,23 +170,22 @@ def _sample_points(cfg: GeomConfig, rng: np.random.Generator) -> np.ndarray:
 
 def longest_mst_edge(points: np.ndarray) -> float:
     """Exact connectivity radius of one sample: the longest minimum-spanning-tree
-    edge, found by a sorted-edge union-find sweep."""
-    from .auggraph import UnionFind
-
+    edge, found by dense Prim over the pairwise distance matrix."""
     n = points.shape[0]
+    if n < 2:
+        raise ValueError(f"longest_mst_edge needs at least 2 points, got n={n}")
     d2 = np.sum(points**2, axis=1)
     dist = np.sqrt(np.maximum(d2[:, None] + d2[None, :] - 2.0 * points @ points.T, 0.0))
-    iu, ju = np.triu_indices(n, k=1)
-    weights = dist[iu, ju]
-    order = np.argsort(weights, kind="stable")
-    uf = UnionFind(n)
-    remaining = n - 1
-    for e in order:
-        if uf.union(int(iu[e]), int(ju[e])):
-            remaining -= 1
-            if remaining == 0:
-                return float(weights[e])
-    raise RuntimeError("union-find sweep failed to connect the graph")
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, INF)  # distance from the tree to each vertex outside it
+    v, longest = 0, 0.0
+    for _ in range(n - 1):
+        in_tree[v] = True
+        np.minimum(best, dist[v], out=best)
+        best[in_tree] = INF
+        v = int(np.argmin(best))
+        longest = max(longest, float(best[v]))
+    return longest
 
 
 def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:

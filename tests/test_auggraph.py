@@ -1,20 +1,26 @@
 """Graph construction, connectivity, diameters, bipartiteness and spectra."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components as csgraph_components
+from scipy.sparse.csgraph import shortest_path
 
+from augoverlap import geomsim
 from augoverlap.auggraph import (
     AugGraph,
-    UnionFind,
+    adjacency_spectrum,
     build_graph,
     connected_components,
     graph_stats,
     is_bipartite,
-    second_eigenvalue_abs,
     subgraph_diameter,
-    top_eigenpair,
 )
 from augoverlap.data import LabelSet, ViewSet
 
@@ -25,16 +31,6 @@ def _graph_from_edges(n, edges):
 
 def _path_adj(n):
     return _graph_from_edges(n, {(i, i + 1) for i in range(n - 1)}).neighbors()
-
-
-class TestUnionFind:
-    def test_union_and_find(self):
-        uf = UnionFind(4)
-        assert uf.union(0, 1)
-        assert not uf.union(1, 0)  # already joined
-        uf.union(2, 3)
-        assert uf.find(0) == uf.find(1)
-        assert uf.find(0) != uf.find(2)
 
 
 class TestBuildGraph:
@@ -101,18 +97,18 @@ class TestBipartite:
 class TestSpectra:
     def test_k3_top_eigenpair(self):
         a = np.ones((3, 3)) - np.eye(3)
-        lam, v = top_eigenpair(a)
+        lam, _, omega = adjacency_spectrum(a)
         assert lam == pytest.approx(2.0, abs=1e-8)
-        np.testing.assert_allclose(v, 1.0 / math.sqrt(3.0), atol=1e-6)
+        assert omega == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
 
     def test_k3_second_eigenvalue(self):
         a = np.ones((3, 3)) - np.eye(3)
-        lam, v = top_eigenpair(a)
-        assert second_eigenvalue_abs(a, lam, v) == pytest.approx(1.0, abs=1e-6)
+        _, lam2, _ = adjacency_spectrum(a)
+        assert lam2 == pytest.approx(1.0, abs=1e-6)
 
     def test_path2(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        lam, v = top_eigenpair(a)
+        lam, _, _ = adjacency_spectrum(a)
         assert lam == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_dense_eigensolver(self, rng):
@@ -121,13 +117,12 @@ class TestSpectra:
             a = (rng.random((n, n)) < 0.5).astype(float)
             a = np.triu(a, 1)
             a = a + a.T
-            eig = np.sort(np.abs(np.linalg.eigvalsh(a)))[::-1]
-            lam, v = top_eigenpair(a)
+            lam, _, _ = adjacency_spectrum(a)
             assert lam == pytest.approx(np.max(np.linalg.eigvalsh(a)), abs=1e-6)
 
     def test_empty_matrix(self):
         with pytest.raises(ValueError):
-            top_eigenpair(np.zeros((0, 0)))
+            adjacency_spectrum(np.zeros((0, 0)))
 
 
 class TestGraphStats:
@@ -176,3 +171,87 @@ class TestGraphStats:
         cs = stats.per_class[0]
         assert cs.bipartite
         assert cs.lambda2_abs == pytest.approx(cs.lambda1)  # degenerate spectrum signature
+
+    def test_near_tied_spectrum_returns(self):
+        """A graph-metrics case whose class-1 block has its two largest |lambda|
+        after lambda_1 only 2.9e-4 apart, relatively: too close for a capped
+        power iteration to separate, and no problem for a dense solver."""
+        cap, view, _ = (int(s) for s in np.random.default_rng([1069, 100]).integers(2**31, size=3))
+        centers = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        anchors, labels = geomsim.sample_caps(geomsim.GeomConfig(d=3, n=100, area=1.0, class_centers=centers, seed=cap))
+        g = build_graph(geomsim.augment(anchors, 1.5, 10, seed=view), 0.35)
+        stats = graph_stats(g, labels)
+        adj = g.neighbors()
+        for k, cs in enumerate(stats.per_class):
+            members = np.flatnonzero(labels.labels == k)
+            assert cs.connected
+            eig = np.linalg.eigvalsh(adj[np.ix_(members, members)].astype(float))
+            assert cs.lambda1 == pytest.approx(eig[-1], abs=1e-9)
+            assert cs.lambda2_abs == pytest.approx(min(np.abs(eig[:-1]).max(), eig[-1]), abs=1e-9)
+
+
+def _two_colourable(block):
+    """Reference bipartiteness: deque BFS 2-colouring over neighbour lists."""
+    adj = [np.flatnonzero(row).tolist() for row in block]
+    color = {}
+    for start in range(len(adj)):
+        if start in color:
+            continue
+        color[start] = 0
+        q = deque([start])
+        while q:
+            u = q.popleft()
+            for w in adj[u]:
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    q.append(w)
+                elif color[w] == color[u]:
+                    return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    p=st.floats(0.0, 1.0),
+    k_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31),
+)
+def test_graph_stats_match_csgraph_and_eigh(n, p, k_fraction, seed):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    a = upper | upper.T
+    k = 1 + int(k_fraction * (n - 1))
+    # every class non-empty; k close to n leaves singleton classes
+    labels = LabelSet(rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])), k=k)
+    g = _graph_from_edges(n, {(int(i), int(j)) for i, j in zip(*np.nonzero(upper))})
+    np.testing.assert_array_equal(g.neighbors(), a)
+    stats = graph_stats(g, labels)
+
+    count, ref = csgraph_components(csr_matrix(a), directed=False)
+    expected = sorted((np.flatnonzero(ref == c).tolist() for c in range(count)), key=lambda grp: grp[0])
+    assert stats.components == connected_components(g) == expected
+
+    intra = 0
+    for cls, cs in enumerate(stats.per_class):
+        members = np.flatnonzero(labels.labels == cls)
+        block = a[np.ix_(members, members)]
+        intra += int(block.sum()) // 2
+        hops = shortest_path(csr_matrix(block), unweighted=True, directed=False)
+        diameter = math.inf if np.isinf(hops).any() else float(hops.max())
+        assert cs.size == members.size
+        assert cs.diameter == diameter == subgraph_diameter(a, members.tolist())
+        assert cs.connected == (not math.isinf(diameter))
+        assert cs.bipartite == _two_colourable(block) == is_bipartite(a, members.tolist())
+        if not cs.connected:
+            assert (cs.lambda1, cs.lambda2_abs, cs.omega) == (0.0, 0.0, 0.0)
+            continue
+        w, v = scipy.linalg.eigh(block.astype(float))
+        lam2 = min(float(np.abs(w[:-1]).max(initial=0.0)), float(w[-1]))
+        assert cs.lambda1 == pytest.approx(w[-1], abs=1e-9)
+        assert cs.lambda2_abs == pytest.approx(lam2, abs=1e-9)
+        assert cs.lambda2_abs <= cs.lambda1  # bound inputs require it, also on bipartite blocks
+        assert cs.omega == pytest.approx(np.abs(v[:, -1]).min(), abs=1e-9)
+    edges = int(upper.sum())
+    assert stats.no_edges == (edges == 0)
+    assert stats.intra_edge_fraction == (intra / edges if edges else 1.0)

@@ -147,6 +147,33 @@ class TestMst:
         assert len(connected_components(build_graph(views, r_mc + 1e-12))) == 1
         assert len(connected_components(build_graph(views, r_mc * (1 - 1e-9)))) > 1
 
+    def test_matches_sorted_edge_sweep(self, rng):
+        """Exactly the longest edge a Kruskal sweep over the same distances
+        adds, with rounded (tied) and duplicate points included."""
+        for trial in range(30):
+            n, d = int(rng.integers(2, 60)), int(rng.integers(1, 4))
+            pts = rng.random((n, d))
+            if trial % 2:
+                pts = np.round(pts, 1)
+            d2 = np.sum(pts**2, axis=1)
+            dist = np.sqrt(np.maximum(d2[:, None] + d2[None, :] - 2.0 * pts @ pts.T, 0.0))
+            iu, ju = np.triu_indices(n, k=1)
+            comp = np.arange(n)
+            merges, longest = 0, 0.0
+            for e in np.argsort(dist[iu, ju], kind="stable"):
+                a, b = comp[iu[e]], comp[ju[e]]
+                if a != b:
+                    comp[comp == b] = a
+                    merges += 1
+                    longest = float(dist[iu[e], ju[e]])
+                    if merges == n - 1:
+                        break
+            assert longest_mst_edge(pts) == longest
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError, match="n=1"):
+            longest_mst_edge(np.zeros((1, 2)))
+
 
 class TestEmpiricalRegime:
     def test_fields_ordered(self):
