@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabelSet, ViewSet
+from .data import LabelSet, ViewSet, sq_distances
 
 INF = math.inf
 
@@ -87,8 +87,7 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
         block = stacked[i]  # (c, m)
         rest = flat[(i + 1) * c :]  # ((n-i-1)*c, m)
         if metric == "euclidean":
-            d2 = np.sum(block**2, axis=1)[:, None] + np.sum(rest**2, axis=1)[None, :] - 2.0 * block @ rest.T
-            per_pair = np.sqrt(np.maximum(d2, 0.0)).reshape(c, n - i - 1, c)
+            per_pair = np.sqrt(sq_distances(block, rest)).reshape(c, n - i - 1, c)
             best = per_pair.min(axis=(0, 2))  # min view distance to each later anchor
             hits = np.flatnonzero(best <= threshold)
         else:

@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -24,19 +23,6 @@ from . import auggraph, bounds, data, geomsim, losses, metrics, synth, trainer
 from .errors import TrainingDivergenceError
 
 DEFAULT_M_GRID = "2,4,8,16,32,64,128,256,512,1024,2048,4096"
-
-
-def _threads_limit() -> int:
-    """Parallelism cap from AUGOVERLAP_THREADS (0 = auto); informational, the
-    reference implementation is single-threaded."""
-    raw = os.environ.get("AUGOVERLAP_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(f"AUGOVERLAP_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise SystemExit("AUGOVERLAP_THREADS must be >= 0")
-    return value
 
 
 def _int_grid(text: str) -> list[int]:
@@ -73,12 +59,7 @@ def _write_json(path: Path, obj) -> None:
 def _finish(args, name: str, config: dict, result_obj) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": name,
-        "config": config,
-        "threads": _threads_limit(),
-    }
-    _write_json(out / "manifest.json", manifest)
+    _write_json(out / "manifest.json", {"command": name, "config": config})
     print(json.dumps(result_obj, sort_keys=True))
 
 
@@ -274,8 +255,9 @@ def cmd_train(args) -> int:
     report = {"final_accuracy": accuracy, "loss_trace": result.loss_trace}
     _write_json(out / "train.json", report)
     if args.dump_emb:
-        data.save_embeddings(trainer.encode(result.params, train_emb), out / f"{args.dump_emb}_train.emb")
-        data.save_embeddings(trainer.encode(result.params, test_emb), out / f"{args.dump_emb}_test.emb")
+        for part, emb in (("train", train_emb), ("test", test_emb)):
+            encoded = data.EmbeddingSet(trainer.encode_array(result.params, emb.values), normalized=True)
+            data.save_embeddings(encoded, out / f"{args.dump_emb}_{part}.emb")
         data.save_labels(train_lab, out / f"{args.dump_emb}_train.lab")
         data.save_labels(test_lab, out / f"{args.dump_emb}_test.lab")
     config = {

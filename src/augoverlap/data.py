@@ -1,4 +1,5 @@
-"""Data model and text file I/O for embeddings, labels, multi-view sets and positive pairs.
+"""Data model and text file I/O for embeddings, labels, multi-view sets and positive pairs,
+plus the row operations every module shares: normalize, squared distances and class means.
 
 File formats (UTF-8, LF line endings):
 
@@ -13,6 +14,7 @@ byte-identically. Loaders never normalize; call :func:`normalize` explicitly.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,10 +26,15 @@ from .errors import DegenerateInputError, ParseError
 _FLOAT_FMT = "%.9g"
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
+def _checked_matrix(v: np.ndarray, name: str, normalized: bool) -> np.ndarray:
+    """A finite, read-only float64 copy of ``v``; unit-norm rows when ``normalized``."""
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} matrix contains non-finite values")
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    v.flags.writeable = False
+    if normalized and not np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-6):
+        raise ValueError("normalized flag set but rows are not unit-norm")
+    return v
 
 
 @dataclass(frozen=True)
@@ -41,13 +48,7 @@ class EmbeddingSet:
         v = self.values
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"embedding matrix must be 2-D and non-empty, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("embedding matrix contains non-finite values")
-        object.__setattr__(self, "values", _freeze(v))
-        if self.normalized:
-            norms = np.linalg.norm(self.values, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-6):
-                raise ValueError("normalized flag set but rows are not unit-norm")
+        object.__setattr__(self, "values", _checked_matrix(v, "embedding", self.normalized))
 
     @property
     def n(self) -> int:
@@ -97,13 +98,7 @@ class ViewSet:
             raise ValueError("n and c must be >= 1")
         if v.ndim != 2 or v.shape[0] != self.n * self.c:
             raise ValueError(f"expected {self.n * self.c} rows, got {v.shape[0]}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("view matrix contains non-finite values")
-        object.__setattr__(self, "values", _freeze(v))
-        if self.normalized:
-            norms = np.linalg.norm(self.values, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-6):
-                raise ValueError("normalized flag set but rows are not unit-norm")
+        object.__setattr__(self, "values", _checked_matrix(v, "view", self.normalized))
 
     @property
     def m(self) -> int:
@@ -145,21 +140,38 @@ class PositivePairs:
         return self.left_labels is not None and self.right_labels is not None
 
 
-def normalize(e: EmbeddingSet) -> EmbeddingSet:
-    """Project every row onto the unit sphere. Idempotent; rejects zero rows."""
-    norms = np.linalg.norm(e.values, axis=1)
+def normalize(x: EmbeddingSet | ViewSet) -> EmbeddingSet | ViewSet:
+    """Project every row of an EmbeddingSet or ViewSet onto the unit sphere.
+    Returns the same set type; idempotent; rejects zero rows."""
+    norms = np.linalg.norm(x.values, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateInputError(f"row {zero[0]} has zero norm and cannot be normalized")
-    return EmbeddingSet(e.values / norms[:, None], normalized=True)
+    return dataclasses.replace(x, values=x.values / norms[:, None], normalized=True)
 
 
-def normalize_views(v: ViewSet) -> ViewSet:
-    norms = np.linalg.norm(v.values, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateInputError(f"row {zero[0]} has zero norm and cannot be normalized")
-    return ViewSet(v.values / norms[:, None], n=v.n, c=v.c, normalized=True)
+def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Squared euclidean distances between the rows of ``a`` and of ``b``
+    (default ``a``), by the expansion |a|^2 + |b|^2 - 2 a.b clipped at 0."""
+    sq = np.sum(a**2, axis=1)
+    if b is None:
+        b, sq_b = a, sq
+    else:
+        sq_b = np.sum(b**2, axis=1)
+    return np.maximum(sq[:, None] + sq_b[None, :] - 2.0 * a @ b.T, 0.0)
+
+
+def class_means(values: np.ndarray, labels: LabelSet) -> np.ndarray:
+    """Per-class mean rows, a (k, m) array; every class must have a member."""
+    if labels.n != values.shape[0]:
+        raise ValueError(f"labels have n={labels.n}, features have n={values.shape[0]}")
+    means = np.empty((labels.k, values.shape[1]))
+    for k in range(labels.k):
+        mask = labels.labels == k
+        if not mask.any():
+            raise DegenerateInputError(f"class {k} is empty")
+        means[k] = values[mask].mean(axis=0)
+    return means
 
 
 # ---------------------------------------------------------------------------

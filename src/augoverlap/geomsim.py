@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, LabelSet, ViewSet
+from .data import EmbeddingSet, LabelSet, ViewSet, sq_distances
 
 INF = math.inf
 
@@ -174,8 +174,7 @@ def longest_mst_edge(points: np.ndarray) -> float:
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"longest_mst_edge needs at least 2 points, got n={n}")
-    d2 = np.sum(points**2, axis=1)
-    dist = np.sqrt(np.maximum(d2[:, None] + d2[None, :] - 2.0 * points @ points.T, 0.0))
+    dist = np.sqrt(sq_distances(points))
     in_tree = np.zeros(n, dtype=bool)
     best = np.full(n, INF)  # distance from the tree to each vertex outside it
     v, longest = 0, 0.0
@@ -204,8 +203,7 @@ def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:
     nn_means, far_means, mins, maxes, r_mcs = [], [], [], [], []
     for _ in range(trials):
         pts = _sample_points(cfg, rng)
-        d2 = np.sum(pts**2, axis=1)
-        dist = np.sqrt(np.maximum(d2[:, None] + d2[None, :] - 2.0 * pts @ pts.T, 0.0))
+        dist = np.sqrt(sq_distances(pts))
         np.fill_diagonal(dist, INF)
         nn = dist.min(axis=1)
         np.fill_diagonal(dist, -INF)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, LabelSet, PositivePairs
-from .errors import DegenerateInputError
+from .data import EmbeddingSet, LabelSet, PositivePairs, class_means
 
 # Exact enumeration of the negative draw replaces Monte Carlo whenever the
 # outcome space pool_size**M is at most this many tuples.
@@ -53,9 +52,29 @@ def _check_pair_labels(pairs: PositivePairs) -> None:
         raise ValueError("pairs must carry labels on both sides")
 
 
+def _check_draws(m_negatives: int, trials: int) -> None:
+    if m_negatives < 1:
+        raise ValueError("m_negatives must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def _log_mean_exp(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     # Scores are bounded in [-1, 1] for unit-norm features, exp never overflows.
     return np.log(np.mean(np.exp(scores), axis=axis))
+
+
+def _mc_log_mean_exp(scores: np.ndarray, m_negatives: int, trials: int, seed: int) -> float:
+    """Seeded Monte Carlo mean over anchors of log-mean-exp over M columns of
+    ``scores`` drawn uniformly with replacement, averaged over ``trials`` draws."""
+    n, columns = scores.shape
+    rng = np.random.default_rng(seed)
+    acc = 0.0
+    for _ in range(trials):
+        idx = rng.integers(0, columns, size=(n, m_negatives))
+        drawn = np.take_along_axis(scores, idx, axis=1)
+        acc += float(np.mean(_log_mean_exp(drawn, axis=1)))
+    return acc / trials
 
 
 def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, seed: int = 0) -> LossValue:
@@ -67,10 +86,7 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
     seeded Monte Carlo averaged over ``trials`` resamplings, or exact
     enumeration when the outcome space is small.
     """
-    if m_negatives < 1:
-        raise ValueError("m_negatives must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_draws(m_negatives, trials)
     if pairs.n < 2:
         raise ValueError("need at least 2 pairs")
     _require_normalized(pairs.left, pairs.right)
@@ -78,7 +94,7 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
     anchors = pairs.left.values
     pool = np.vstack([pairs.left.values, pairs.right.values])
     scores = anchors @ pool.T  # (n, pool)
-    n, pool_size = scores.shape
+    pool_size = scores.shape[1]
 
     pos_term = -float(np.mean(np.sum(pairs.left.values * pairs.right.values, axis=1)))
 
@@ -89,33 +105,15 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
             total += float(np.mean(_log_mean_exp(scores[:, combo], axis=1)))
         neg_term = total / pool_size**m_negatives
     else:
-        rng = np.random.default_rng(seed)
-        acc = 0.0
-        for _ in range(trials):
-            idx = rng.integers(0, pool_size, size=(n, m_negatives))
-            drawn = np.take_along_axis(scores, idx, axis=1)
-            acc += float(np.mean(_log_mean_exp(drawn, axis=1)))
-        neg_term = acc / trials
+        neg_term = _mc_log_mean_exp(scores, m_negatives, trials, seed)
 
     return LossValue(pos_term + neg_term, components=(pos_term, neg_term))
-
-
-def _class_means(e: EmbeddingSet, labels: LabelSet) -> np.ndarray:
-    if labels.n != e.n:
-        raise ValueError(f"labels have n={labels.n}, embeddings have n={e.n}")
-    means = np.empty((labels.k, e.m))
-    for k in range(labels.k):
-        mask = labels.labels == k
-        if not mask.any():
-            raise DegenerateInputError(f"class {k} is empty")
-        means[k] = e.values[mask].mean(axis=0)
-    return means
 
 
 def mce_adjusted(e: EmbeddingSet, labels: LabelSet) -> LossValue:
     """Adjusted mean-CE loss with empirical class means as classifier weights. Exact."""
     _require_normalized(e)
-    means = _class_means(e, labels)
+    means = class_means(e.values, labels)
     scores = e.values @ means.T  # (n, K)
     pos_term = -float(np.mean(scores[np.arange(e.n), labels.labels]))
     neg_term = float(np.mean(_log_mean_exp(scores, axis=1)))
@@ -135,24 +133,16 @@ def mc_negative_term(e: EmbeddingSet, labels: LabelSet, m_negatives: int, trials
     estimator whose error against :func:`mce_negative_term` shrinks as
     O(M^-1/2) with an explicit e/sqrt(M) cap.
     """
-    if m_negatives < 1:
-        raise ValueError("m_negatives must be >= 1")
+    _check_draws(m_negatives, trials)
     _require_normalized(e)
-    means = _class_means(e, labels)
-    scores = e.values @ means.T  # (n, K)
-    rng = np.random.default_rng(seed)
-    acc = 0.0
-    for _ in range(trials):
-        idx = rng.integers(0, labels.k, size=(e.n, m_negatives))
-        drawn = np.take_along_axis(scores, idx, axis=1)
-        acc += float(np.mean(_log_mean_exp(drawn, axis=1)))
-    return acc / trials
+    scores = e.values @ class_means(e.values, labels).T  # (n, K)
+    return _mc_log_mean_exp(scores, m_negatives, trials, seed)
 
 
 def class_stats(e: EmbeddingSet, labels: LabelSet) -> ClassStats:
     """Per-class mean vectors and the conditional variance E||f(x) - mu_y||^2."""
     _require_normalized(e)
-    means = _class_means(e, labels)
+    means = class_means(e.values, labels)
     diffs = e.values - means[labels.labels]
     cond_var = float(np.mean(np.sum(diffs**2, axis=1)))
     return ClassStats(means=means, cond_variance=cond_var)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PositivePairs, ViewSet
+from .data import PositivePairs, ViewSet, sq_distances
 from .errors import UndefinedMetricError
 
 STATS = {
@@ -38,21 +38,19 @@ class MetricConfig:
             raise ValueError("k must be >= 1")
 
 
-def _pairwise_sq(values: np.ndarray) -> np.ndarray:
-    sq = np.sum(values**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * values @ values.T
-    return np.maximum(d2, 0.0)
+def _check_views(views: ViewSet) -> None:
+    if views.n < 2:
+        raise ValueError("need at least 2 anchors")
+    if views.c < 2:
+        raise ValueError("need at least 2 views per anchor")
 
 
 def acr(views: ViewSet) -> float:
     """Fraction of views whose closest foreign view is at least as close as
     their farthest sibling view."""
-    if views.n < 2:
-        raise ValueError("need at least 2 anchors")
-    if views.c < 2:
-        raise ValueError("need at least 2 views per anchor")
+    _check_views(views)
     n, c = views.n, views.c
-    dist = np.sqrt(_pairwise_sq(views.values))
+    dist = np.sqrt(sq_distances(views.values))
     anchor_of = np.repeat(np.arange(n), c)
     same = anchor_of[:, None] == anchor_of[None, :]
     d_in = np.where(same, dist, -np.inf).max(axis=1)
@@ -70,15 +68,12 @@ def arc(acr_final: float, acr_init: float) -> float:
 def gacr(views: ViewSet, cfg: MetricConfig = MetricConfig()) -> float:
     """Generalized confusion ratio with statistic selectors and k-th-smallest
     inter-anchor comparison."""
-    if views.n < 2:
-        raise ValueError("need at least 2 anchors")
-    if views.c < 2:
-        raise ValueError("need at least 2 views per anchor")
+    _check_views(views)
     if cfg.k > views.n - 1:
         raise ValueError(f"k={cfg.k} exceeds the {views.n - 1} available foreign anchors")
     n, c = views.n, views.c
     stat1, stat2 = STATS[cfg.a1], STATS[cfg.a2]
-    d2 = _pairwise_sq(views.values).reshape(n, c, n, c)
+    d2 = sq_distances(views.values).reshape(n, c, n, c)
 
     confused = 0
     for i in range(n):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, LabelSet, PositivePairs
-from .errors import DegenerateInputError, TrainingDivergenceError
+from .data import EmbeddingSet, LabelSet, PositivePairs, class_means
+from .errors import TrainingDivergenceError
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,6 @@ def forward(params: EncoderParams, x: np.ndarray):
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     f = z / norms
     return f, (x, a, z, norms, f)
-
-
-def encode(params: EncoderParams, e: EmbeddingSet) -> EmbeddingSet:
-    f, _ = forward(params, e.values)
-    return EmbeddingSet(f, normalized=True)
 
 
 def encode_array(params: EncoderParams, values: np.ndarray) -> np.ndarray:
@@ -178,12 +173,9 @@ def mean_classifier_accuracy(
     test_labels: LabelSet,
 ) -> float:
     """Accuracy of the mean classifier: argmax_k f(x).mu_k, ties to the lowest class."""
-    means = np.empty((train_labels.k, train_features.shape[1]))
-    for k in range(train_labels.k):
-        mask = train_labels.labels == k
-        if not mask.any():
-            raise DegenerateInputError(f"class {k} is empty in the training set")
-        means[k] = train_features[mask].mean(axis=0)
+    if test_labels.n != test_features.shape[0]:
+        raise ValueError(f"test labels have n={test_labels.n}, test features have n={test_features.shape[0]}")
+    means = class_means(train_features, train_labels)
     predictions = np.argmax(test_features @ means.T, axis=1)
     return float(np.mean(predictions == test_labels.labels))
 

@@ -1,4 +1,4 @@
-"""CLI subcommands, recipes, output files, exit codes and environment handling."""
+"""CLI subcommands, recipes, output files and exit codes."""
 
 import csv
 import json
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from augoverlap import cli, data, geomsim, synth
-from augoverlap.cli import _float_grid, _int_grid, _threads_limit, main
+from augoverlap.cli import _float_grid, _int_grid, main
 from augoverlap.data import LabelSet, save_embeddings, save_labels, save_views
 
 
@@ -32,26 +32,6 @@ class TestGridParsing:
         assert _float_grid("0,0.5") == [0.0, 0.5]
         with pytest.raises(Exception, match="floats"):
             _float_grid("a")
-
-
-class TestThreadsLimit:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("AUGOVERLAP_THREADS", raising=False)
-        assert _threads_limit() == 0
-
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("AUGOVERLAP_THREADS", "4")
-        assert _threads_limit() == 4
-
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("AUGOVERLAP_THREADS", "lots")
-        with pytest.raises(SystemExit):
-            _threads_limit()
-
-    def test_negative(self, monkeypatch):
-        monkeypatch.setenv("AUGOVERLAP_THREADS", "-1")
-        with pytest.raises(SystemExit):
-            _threads_limit()
 
 
 class TestBoundsCommand:

@@ -1,9 +1,10 @@
-"""File formats, dataclass invariants and normalization."""
+"""File formats, dataclass invariants, normalization and the shared row kernels."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from augoverlap import data
 from augoverlap.data import (
@@ -16,10 +17,10 @@ from augoverlap.data import (
     load_pairs,
     load_views,
     normalize,
-    normalize_views,
     save_embeddings,
     save_labels,
     save_views,
+    sq_distances,
 )
 from augoverlap.errors import DegenerateInputError, ParseError
 
@@ -113,9 +114,34 @@ class TestNormalize:
             normalize(EmbeddingSet(np.array([[1.0, 0.0], [0.0, 0.0]])))
 
     def test_normalize_views(self):
-        v = normalize_views(ViewSet(np.array([[3.0, 4.0], [0.0, 2.0]]), n=2, c=1))
+        v = normalize(ViewSet(np.array([[3.0, 4.0], [0.0, 2.0]]), n=2, c=1))
+        assert isinstance(v, ViewSet) and (v.n, v.c) == (2, 1)
         assert v.normalized
         np.testing.assert_allclose(np.linalg.norm(v.values, axis=1), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows_a=st.integers(1, 30),
+    rows_b=st.integers(1, 30),
+    dim=st.integers(1, 8),
+    log_scale=st.floats(-3.0, 3.0),
+    square=st.booleans(),
+    shared=st.integers(0, 30),
+    seed=st.integers(0, 2**31),
+)
+def test_sq_distances_match_cdist(rows_a, rows_b, dim, log_scale, square, shared, seed):
+    rng = np.random.default_rng(seed)
+    a = 10.0**log_scale * rng.standard_normal((rows_a, dim))
+    b = 10.0**log_scale * rng.standard_normal((rows_b, dim))
+    shared = min(shared, rows_a, rows_b)
+    b[:shared] = a[:shared]  # coincident rows, whose expansion can round below 0
+    other = a if square else b
+    d2 = sq_distances(a) if square else sq_distances(a, b)
+    assert d2.shape == (rows_a, other.shape[0])
+    assert (d2 >= 0.0).all()
+    tol = 1e-9 * (1.0 + np.sum(a**2, axis=1)[:, None] + np.sum(other**2, axis=1)[None, :])
+    assert (np.abs(d2 - cdist(a, other, "sqeuclidean")) <= tol).all()
 
 
 class TestRoundTrip:

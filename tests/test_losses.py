@@ -117,6 +117,9 @@ class TestMcNegativeTerm:
         pairs = synth.ci_pairs(20, 2, 4, seed=0)
         with pytest.raises(ValueError):
             mc_negative_term(pairs.left, pairs.left_labels, 0)
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                mc_negative_term(pairs.left, pairs.left_labels, 4, trials=trials)
 
 
 class TestClassStats:

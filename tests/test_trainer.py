@@ -164,6 +164,15 @@ class TestMeanClassifier:
         with pytest.raises(DegenerateInputError, match="class 1"):
             mean_classifier_accuracy(train_f, lab, train_f, lab)
 
+    def test_label_count_mismatch(self):
+        f = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1, 1.0]])
+        lab = LabelSet(np.array([0, 1, 0, 1]), k=2)
+        one = LabelSet(np.array([0]), k=2)
+        with pytest.raises(ValueError, match="test labels have n=1, test features have n=4"):
+            mean_classifier_accuracy(f, lab, f, one)
+        with pytest.raises(ValueError, match="labels have n=1, features have n=4"):
+            mean_classifier_accuracy(f, one, f, lab)
+
 
 class TestCounterexample:
     def test_perfect_alignment_at_chance(self):
