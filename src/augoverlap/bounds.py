@@ -98,9 +98,12 @@ def bounds_no_ci(inputs: BoundInputs) -> tuple[float, float]:
     return lower, upper
 
 
-def _radius_bounds(l_contr: float, d_eps: float, alpha: float, m_negatives: int) -> tuple[float, float]:
+def _radius_bounds(
+    l_contr: float, diameter: float, epsilon: float, alpha: float, m_negatives: int
+) -> tuple[float, float]:
     err = _mc_error(m_negatives)
     sa = 4.0 * math.sqrt(alpha)
+    d_eps = 0.0 if epsilon == 0.0 else diameter * epsilon
     if math.isinf(d_eps):
         return -INF, INF
     upper = l_contr + 2.0 * d_eps + sa + err
@@ -115,13 +118,7 @@ def bounds_radius(inputs: BoundInputs) -> tuple[float, float]:
     product is special-cased, not left to 0*inf); infinite D with epsilon > 0
     propagates infinities.
     """
-    if inputs.epsilon == 0.0:
-        d_eps = 0.0
-    elif math.isinf(inputs.diameter):
-        d_eps = INF
-    else:
-        d_eps = inputs.diameter * inputs.epsilon
-    return _radius_bounds(inputs.l_contr, d_eps, inputs.alpha, inputs.m_negatives)
+    return _radius_bounds(inputs.l_contr, inputs.diameter, inputs.epsilon, inputs.alpha, inputs.m_negatives)
 
 
 def spectral_diameter(omega: float, lambda1: float, lambda2_abs: float) -> tuple[float, str]:
@@ -156,13 +153,7 @@ def spectral_diameter(omega: float, lambda1: float, lambda2_abs: float) -> tuple
 def bounds_spectral(inputs: BoundInputs) -> tuple[float, float]:
     """Radius sandwich with the diameter replaced by the spectral certificate."""
     d_hat, _ = spectral_diameter(inputs.omega, inputs.lambda1, inputs.lambda2_abs)
-    if inputs.epsilon == 0.0:
-        d_eps = 0.0
-    elif math.isinf(d_hat):
-        d_eps = INF
-    else:
-        d_eps = d_hat * inputs.epsilon
-    return _radius_bounds(inputs.l_contr, d_eps, inputs.alpha, inputs.m_negatives)
+    return _radius_bounds(inputs.l_contr, d_hat, inputs.epsilon, inputs.alpha, inputs.m_negatives)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Command-line entry point: one subcommand per pipeline plus named repro recipes.
 
 Every run writes its outputs into --out together with a ``manifest.json``
-echoing the fully resolved configuration, so any result can be regenerated
-from the manifest alone. JSON is the machine interface, CSV the plotting
-interface.
+holding the subcommand and every parsed option except --out, so any result
+can be regenerated from the manifest alone. JSON is the machine interface,
+CSV the plotting interface.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -56,10 +57,22 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _finish(args, name: str, config: dict, result_obj) -> None:
+def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json", {"command": name, "config": config})
+    return out
+
+
+def _command(args) -> str:
+    """The subcommand path as typed, e.g. ``"bounds"`` or ``"repro fig4"``."""
+    return f"repro {args.recipe}" if args.subcommand == "repro" else args.subcommand
+
+
+def _finish(args, result_obj) -> None:
+    """Write manifest.json from the parsed arguments and print the result."""
+    dispatch = ("out", "subcommand", "recipe", "func")
+    config = {key: value for key, value in vars(args).items() if key not in dispatch}
+    _write_json(_out_dir(args) / "manifest.json", {"command": _command(args), "config": config})
     print(json.dumps(result_obj, sort_keys=True))
 
 
@@ -85,11 +98,9 @@ def cmd_bounds(args) -> int:
         lo, up = bounds.bounds_ci(inputs)
         base = bounds.baseline_bounds(inputs, args.l_unsup)
         rows.append([m, up, lo, base.arora, base.nozawa, base.ash, base.bao])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / args.csv_name, ["M", "ours_upper", "ours_lower", "arora", "nozawa", "ash", "bao"], rows)
-    config = {"m_grid": args.m_grid, "l_unsup": args.l_unsup, "var": args.var, "k": args.k}
-    _finish(args, "bounds", config, {"rows": len(rows), "csv": str(out / args.csv_name)})
+    csv_path = _out_dir(args) / f"{_command(args).split()[-1]}.csv"
+    _write_csv(csv_path, ["M", "ours_upper", "ours_lower", "arora", "nozawa", "ash", "bao"], rows)
+    _finish(args, {"rows": len(rows), "csv": str(csv_path)})
     return 0
 
 
@@ -98,38 +109,22 @@ def cmd_graph(args) -> int:
     labels = data.load_labels(args.labels)
     g = auggraph.build_graph(views, args.threshold, args.metric)
     stats = auggraph.graph_stats(g, labels)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     edge_rows = [[i, j, g.edge_scores[(i, j)]] for i, j in sorted(g.edges)]
     _write_csv(out / "edges.csv", ["i", "j", "min_view_distance"], edge_rows)
-    report = {
-        "n": g.n,
-        "edges": len(g.edges),
-        "threshold": g.threshold,
-        "metric": g.metric,
-        "components": len(stats.components),
-        "d_max": _json_num(stats.d_max),
-        "intra_edge_fraction": stats.intra_edge_fraction,
-        "no_edges": stats.no_edges,
-        "omega": stats.omega,
-        "lambda1": stats.lambda1,
-        "lambda2_abs": stats.lambda2_abs,
-        "per_class": [
-            {
-                "size": cs.size,
-                "connected": cs.connected,
-                "diameter": _json_num(cs.diameter),
-                "lambda1": cs.lambda1,
-                "lambda2_abs": cs.lambda2_abs,
-                "omega": cs.omega,
-                "bipartite": cs.bipartite,
-            }
-            for cs in stats.per_class
-        ],
-    }
+    report = dataclasses.asdict(stats)
+    report.update(
+        n=g.n,
+        edges=len(g.edges),
+        threshold=g.threshold,
+        metric=g.metric,
+        components=len(stats.components),
+        d_max=_json_num(stats.d_max),
+    )
+    for cs in report["per_class"]:
+        cs["diameter"] = _json_num(cs["diameter"])
     _write_json(out / "graph_stats.json", report)
-    config = {"views": args.views, "labels": args.labels, "threshold": args.threshold, "metric": args.metric}
-    _finish(args, "graph", config, report)
+    _finish(args, report)
     return 0
 
 
@@ -156,11 +151,8 @@ def cmd_metrics(args) -> int:
         g_init = metrics.gacr(init_views, vcfg)
         report["gacr_variants"][name] = {"final": g_final, "init": g_init}
         report["garc_variants"][name] = metrics.garc(final_views, init_views, vcfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "metrics.json", report)
-    config = {"views_final": args.views_final, "views_init": args.views_init, "a1": args.a1, "a2": args.a2, "k": args.k}
-    _finish(args, "metrics", config, report)
+    _write_json(_out_dir(args) / "metrics.json", report)
+    _finish(args, report)
     return 0
 
 
@@ -197,18 +189,9 @@ def _simulate_rows(d, n, area, r_grid, trials, seed):
 
 def cmd_simulate(args) -> int:
     rows = _simulate_rows(args.d, args.n, args.area, args.noise_r, args.trials, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "simulate.csv", ["r", "connected_fraction", "mean_components", "D_max"], rows)
-    config = {
-        "d": args.d,
-        "n": args.n,
-        "area": args.area,
-        "noise_r": args.noise_r,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    _finish(args, "simulate", config, {"rows": len(rows), "csv": str(out / "simulate.csv")})
+    csv_path = _out_dir(args) / "simulate.csv"
+    _write_csv(csv_path, ["r", "connected_fraction", "mean_components", "D_max"], rows)
+    _finish(args, {"rows": len(rows), "csv": str(csv_path)})
     return 0
 
 
@@ -250,8 +233,7 @@ def _add_train_flags(p: argparse.ArgumentParser, epochs_default: int) -> None:
 
 def cmd_train(args) -> int:
     result, accuracy, (train_emb, train_lab, test_emb, test_lab) = _train_once(args, args.noise_r, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     report = {"final_accuracy": accuracy, "loss_trace": result.loss_trace}
     _write_json(out / "train.json", report)
     if args.dump_emb:
@@ -260,20 +242,7 @@ def cmd_train(args) -> int:
             data.save_embeddings(encoded, out / f"{args.dump_emb}_{part}.emb")
         data.save_labels(train_lab, out / f"{args.dump_emb}_train.lab")
         data.save_labels(test_lab, out / f"{args.dump_emb}_test.lab")
-    config = {
-        "n_train": args.n_train,
-        "n_test": args.n_test,
-        "cap_area": args.cap_area,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-        "noise_r": args.noise_r,
-        "hidden_size": args.hidden_size,
-        "out_dim": args.out_dim,
-        "m_negatives": args.m_negatives,
-        "seed": args.seed,
-    }
-    _finish(args, "train", config, {"final_accuracy": accuracy, "epochs": args.epochs})
+    _finish(args, {"final_accuracy": accuracy, "epochs": args.epochs})
     return 0
 
 
@@ -283,11 +252,8 @@ def cmd_ci_ratio(args) -> int:
         data.normalize(pairs.left), data.normalize(pairs.right), pairs.left_labels, pairs.right_labels
     )
     ratio = metrics.ci_ratio(pairs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "ci_ratio.json", {"ci_ratio": ratio})
-    config = {"left": args.left, "right": args.right, "labels": args.labels}
-    _finish(args, "ci-ratio", config, {"ci_ratio": ratio})
+    _write_json(_out_dir(args) / "ci_ratio.json", {"ci_ratio": ratio})
+    _finish(args, {"ci_ratio": ratio})
     return 0
 
 
@@ -295,21 +261,13 @@ def cmd_ci_ratio(args) -> int:
 # repro recipes
 
 
-def recipe_fig4(args) -> int:
-    args.csv_name = "fig4.csv"
-    return cmd_bounds(args)
-
-
 def recipe_fig6(args) -> int:
     rows = []
     for r in args.r_grid:
         _, accuracy, _ = _train_once(args, r, args.seed)
         rows.append([r, accuracy])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "fig6.csv", ["r", "accuracy"], rows)
-    config = {"r_grid": args.r_grid, "epochs": args.epochs, "seed": args.seed}
-    _finish(args, "repro fig6", config, {"rows": rows})
+    _write_csv(_out_dir(args) / "fig6.csv", ["r", "accuracy"], rows)
+    _finish(args, {"rows": rows})
     return 0
 
 
@@ -328,29 +286,16 @@ def recipe_fig7(args) -> int:
                 stats.intra_edge_fraction,
             ]
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "fig7.csv", ["r", "components", "D_max", "intra_edge_fraction"], rows)
-    config = {
-        "n": args.n,
-        "cap_area": args.cap_area,
-        "r_grid": args.r_grid,
-        "views_per_anchor": args.views_per_anchor,
-        "threshold": args.threshold,
-        "seed": args.seed,
-    }
-    _finish(args, "repro fig7", config, {"rows": rows})
+    _write_csv(_out_dir(args) / "fig7.csv", ["r", "components", "D_max", "intra_edge_fraction"], rows)
+    _finish(args, {"rows": rows})
     return 0
 
 
 def recipe_prop53(args) -> int:
     _, _, accuracy = trainer.counterexample_prop53(args.n, args.k, args.dim, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = {"accuracy": accuracy, "chance": 1.0 / args.k, "n": args.n, "k": args.k}
-    _write_json(out / "prop53.json", report)
-    config = {"n": args.n, "k": args.k, "dim": args.dim, "seed": args.seed}
-    _finish(args, "repro prop53", config, report)
+    _write_json(_out_dir(args) / "prop53.json", report)
+    _finish(args, report)
     return 0
 
 
@@ -366,24 +311,20 @@ def recipe_lemma42(args) -> int:
             errors.append(abs(mc - exact))
         bound = bounds.E / math.sqrt(m)
         rows.append([m, float(np.mean(errors)), bound])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "lemma42.csv", ["M", "mc_error", "bound"], rows)
-    config = {
-        "n": args.n,
-        "k": args.k,
-        "dim": args.dim,
-        "spread": args.spread,
-        "m_grid": args.m_grid,
-        "seeds": args.seeds,
-        "seed": args.seed,
-    }
-    _finish(args, "repro lemma42", config, {"rows": rows})
+    _write_csv(_out_dir(args) / "lemma42.csv", ["M", "mc_error", "bound"], rows)
+    _finish(args, {"rows": rows})
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _add_bounds_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--m-grid", type=_int_grid, default=_int_grid(DEFAULT_M_GRID))
+    p.add_argument("--l-unsup", type=float, default=1.0, help="measured adjusted contrastive loss")
+    p.add_argument("--var", type=float, default=0.0, help="conditional variance for the lower bound")
+    p.add_argument("--k", type=int, default=10, help="number of classes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,100 +335,81 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def command(subparsers, name: str, func, summary: str, seed: bool = False) -> argparse.ArgumentParser:
+        """A leaf parser with --out; --seed only where the command draws random numbers."""
+        p = subparsers.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".", help="output directory (manifest.json always written)")
+        return p
 
-    p = sub.add_parser("bounds", help="bound-comparison CSV: M, ours_upper, ours_lower, arora, nozawa, ash, bao")
-    p.add_argument("--m-grid", type=_int_grid, default=_int_grid(DEFAULT_M_GRID))
-    p.add_argument("--l-unsup", type=float, default=1.0, help="measured adjusted contrastive loss")
-    p.add_argument("--var", type=float, default=0.0, help="conditional variance for the lower bound")
-    p.add_argument("--k", type=int, default=10, help="number of classes")
-    common(p)
-    p.set_defaults(func=cmd_bounds, csv_name="bounds.csv")
+    p = command(sub, "bounds", cmd_bounds, "bound-comparison CSV: M, ours_upper, ours_lower, arora, nozawa, ash, bao")
+    _add_bounds_flags(p)
 
-    p = sub.add_parser("graph", help="augmentation-graph stats (JSON) + edge list CSV")
+    p = command(sub, "graph", cmd_graph, "augmentation-graph stats (JSON) + edge list CSV")
     p.add_argument("--views", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
-    common(p)
-    p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("metrics", help="ACR/ARC and GACR/GARC variants for two view files")
+    p = command(sub, "metrics", cmd_metrics, "ACR/ARC and GACR/GARC variants for two view files")
     p.add_argument("--views-final", required=True)
     p.add_argument("--views-init", required=True)
     p.add_argument("--a1", choices=sorted(metrics.STATS), default="max")
     p.add_argument("--a2", choices=sorted(metrics.STATS), default="min")
     p.add_argument("--k", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("simulate", help="connectivity sweep CSV: r, connected_fraction, mean_components, D_max")
+    p = command(
+        sub, "simulate", cmd_simulate, "connectivity sweep CSV: r, connected_fraction, mean_components, D_max", seed=True
+    )
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--area", type=float, default=1.0)
     p.add_argument("--noise-r", type=_float_grid, required=True, help="comma-separated radius grid")
     p.add_argument("--trials", type=int, default=10)
-    common(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train", help="train the synthetic two-cap encoder; JSON {final_accuracy, loss_trace}")
+    p = command(
+        sub, "train", cmd_train, "train the synthetic two-cap encoder; JSON {final_accuracy, loss_trace}", seed=True
+    )
     _add_train_flags(p, epochs_default=200)
     p.add_argument("--noise-r", type=float, default=0.5)
     p.add_argument("--dump-emb", default=None, help="prefix for EMB/LAB dumps of encoded train/test sets")
-    common(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("ci-ratio", help="conditional-independence ratio of a labeled pair set")
+    p = command(sub, "ci-ratio", cmd_ci_ratio, "conditional-independence ratio of a labeled pair set")
     p.add_argument("--left", required=True, help="EMB file of anchors")
     p.add_argument("--right", required=True, help="EMB file of positives")
     p.add_argument("--labels", required=True, help="LAB file shared by both sides")
-    common(p)
-    p.set_defaults(func=cmd_ci_ratio)
 
     p = sub.add_parser("repro", help="named end-to-end recipes")
     rsub = p.add_subparsers(dest="recipe", required=True)
 
-    rp = rsub.add_parser("fig4", help="bound curves CSV")
-    rp.add_argument("--m-grid", type=_int_grid, default=_int_grid(DEFAULT_M_GRID))
-    rp.add_argument("--l-unsup", type=float, default=1.0)
-    rp.add_argument("--var", type=float, default=0.0)
-    rp.add_argument("--k", type=int, default=10)
-    common(rp)
-    rp.set_defaults(func=recipe_fig4)
+    rp = command(rsub, "fig4", cmd_bounds, "bound curves CSV")
+    _add_bounds_flags(rp)
 
-    rp = rsub.add_parser("fig6", help="accuracy-vs-r sweep CSV")
+    rp = command(rsub, "fig6", recipe_fig6, "accuracy-vs-r sweep CSV", seed=True)
     rp.add_argument("--r-grid", type=_float_grid, default=_float_grid("0,0.08,0.5,1.5"))
     _add_train_flags(rp, epochs_default=60)
-    common(rp)
-    rp.set_defaults(func=recipe_fig6)
 
-    rp = rsub.add_parser("fig7", help="graph-statistics sweep CSV")
+    rp = command(rsub, "fig7", recipe_fig7, "graph-statistics sweep CSV", seed=True)
     rp.add_argument("--n", type=int, default=200)
     rp.add_argument("--cap-area", type=float, default=1.0)
     rp.add_argument("--r-grid", type=_float_grid, default=_float_grid("0.5,1.5"))
     rp.add_argument("--views-per-anchor", type=int, default=10)
     rp.add_argument("--threshold", type=float, default=0.35)
-    common(rp)
-    rp.set_defaults(func=recipe_fig7)
 
-    rp = rsub.add_parser("prop53", help="perfect-alignment counterexample, accuracy near chance")
+    rp = command(rsub, "prop53", recipe_prop53, "perfect-alignment counterexample, accuracy near chance", seed=True)
     rp.add_argument("--n", type=int, default=10000)
     rp.add_argument("--k", type=int, default=2)
     rp.add_argument("--dim", type=int, default=4)
-    common(rp)
-    rp.set_defaults(func=recipe_prop53)
 
-    rp = rsub.add_parser("lemma42", help="Monte-Carlo error vs e/sqrt(M) check CSV")
+    rp = command(rsub, "lemma42", recipe_lemma42, "Monte-Carlo error vs e/sqrt(M) check CSV", seed=True)
     rp.add_argument("--n", type=int, default=2000)
     rp.add_argument("--k", type=int, default=10)
     rp.add_argument("--dim", type=int, default=32)
     rp.add_argument("--spread", type=float, default=0.3)
     rp.add_argument("--m-grid", type=_int_grid, default=_int_grid("1,4,16,64,256"))
     rp.add_argument("--seeds", type=int, default=50)
-    common(rp)
-    rp.set_defaults(func=recipe_lemma42)
 
     return parser
 

@@ -72,19 +72,15 @@ def gacr(views: ViewSet, cfg: MetricConfig = MetricConfig()) -> float:
     if cfg.k > views.n - 1:
         raise ValueError(f"k={cfg.k} exceeds the {views.n - 1} available foreign anchors")
     n, c = views.n, views.c
-    stat1, stat2 = STATS[cfg.a1], STATS[cfg.a2]
     d2 = sq_distances(views.values).reshape(n, c, n, c)
-
-    confused = 0
-    for i in range(n):
-        for j in range(c):
-            intra = np.delete(d2[i, j, i], j)  # self term excluded
-            d_in = stat1(intra)
-            foreign = np.delete(d2[i, j], i, axis=0)  # (n-1, c)
-            per_anchor = stat2(foreign, axis=1)
-            kth = np.partition(per_anchor, cfg.k - 1)[cfg.k - 1]
-            confused += kth <= d_in
-    return confused / (n * c)
+    anchors = np.arange(n)
+    own = d2[anchors, :, anchors]  # (n, c, c): distances among one anchor's views
+    siblings = own[:, ~np.eye(c, dtype=bool)].reshape(n, c, c - 1)  # self term excluded
+    d_in = STATS[cfg.a1](siblings, axis=-1)
+    per_anchor = STATS[cfg.a2](d2, axis=-1)  # (n, c, n)
+    per_anchor[anchors, :, anchors] = np.inf  # the own anchor never ranks among the k nearest
+    kth = np.partition(per_anchor, cfg.k - 1, axis=-1)[..., cfg.k - 1]
+    return float(np.mean(kth <= d_in))
 
 
 def garc(final_views: ViewSet, init_views: ViewSet, cfg: MetricConfig = MetricConfig()) -> float:

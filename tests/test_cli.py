@@ -1,14 +1,24 @@
-"""CLI subcommands, recipes, output files and exit codes."""
+"""CLI subcommands, recipes, output files, manifests and exit codes."""
 
+import argparse
 import csv
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import augoverlap
 from augoverlap import cli, data, geomsim, synth
 from augoverlap.cli import _float_grid, _int_grid, main
-from augoverlap.data import LabelSet, save_embeddings, save_labels, save_views
+from augoverlap.data import LabelSet, ViewSet, save_embeddings, save_labels, save_views
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+TINY_TRAIN = ["--n-train", "60", "--n-test", "30", "--epochs", "2", "--batch-size", "32", "--hidden-size", "8", "--out-dim", "4"]
 
 
 def _read_csv(path):
@@ -232,6 +242,102 @@ class TestRecipes:
         assert rows[0] == ["r", "accuracy"]
 
 
+def _leaf_commands(parser):
+    """Every runnable command path of the parser, e.g. ``"repro fig4"``."""
+    paths = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                paths += [f"{name} {leaf}" for leaf in _leaf_commands(sub)] or [name]
+    return paths
+
+
+def _write_inputs(d):
+    pairs = synth.ci_pairs(20, 2, 3, seed=0)
+    save_views(geomsim.augment(pairs.left, 0.3, 2, seed=0), d / "v.views")
+    save_labels(pairs.left_labels, d / "y.lab")
+    rng = np.random.default_rng(0)
+    centers = np.repeat(np.arange(4.0)[:, None] * 10.0, 3, axis=0) + np.zeros((12, 3))
+    save_views(ViewSet(centers + 0.1 * rng.standard_normal((12, 3)), n=4, c=3), d / "f.views")
+    save_views(ViewSet(centers + 2.0 * rng.standard_normal((12, 3)), n=4, c=3), d / "i.views")
+    pairs = synth.ci_pairs(120, 3, 8, seed=0)
+    save_embeddings(pairs.left, d / "l.emb")
+    save_embeddings(pairs.right, d / "r.emb")
+    save_labels(pairs.left_labels, d / "p.lab")
+
+
+# one tiny run per command; "{in}" is the directory written by _write_inputs
+REGENERATE = {
+    "bounds": ["--m-grid", "2,4,8", "--var", "0.1"],
+    "graph": ["--views", "{in}/v.views", "--labels", "{in}/y.lab", "--threshold", "0.5"],
+    "metrics": ["--views-final", "{in}/f.views", "--views-init", "{in}/i.views", "--a1", "mean", "--k", "2"],
+    "simulate": ["--n", "30", "--noise-r", "0,0.5", "--trials", "3", "--seed", "4"],
+    "train": [*TINY_TRAIN, "--noise-r", "0.3", "--dump-emb", "enc", "--seed", "2"],
+    "ci-ratio": ["--left", "{in}/l.emb", "--right", "{in}/r.emb", "--labels", "{in}/p.lab"],
+    "repro fig4": ["--m-grid", "2,64", "--k", "5"],
+    "repro fig6": ["--r-grid", "0.5,1.0", *TINY_TRAIN, "--seed", "3"],
+    "repro fig7": ["--n", "60", "--r-grid", "0.5", "--views-per-anchor", "4"],
+    "repro prop53": ["--n", "500", "--k", "3"],
+    "repro lemma42": ["--n", "200", "--k", "4", "--dim", "8", "--m-grid", "1,4", "--seeds", "3"],
+}
+
+
+def _argv_from_manifest(manifest):
+    argv = manifest["command"].split()
+    for key, value in manifest["config"].items():
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    return argv
+
+
+class TestManifest:
+    def test_every_command_is_covered(self):
+        assert sorted(_leaf_commands(cli.build_parser())) == sorted(REGENERATE)
+
+    @pytest.mark.parametrize("command", sorted(REGENERATE))
+    def test_manifest_regenerates_the_run(self, command, tmp_path, capsys):
+        _write_inputs(tmp_path)
+        args = [a.replace("{in}", str(tmp_path)) for a in REGENERATE[command]]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([*command.split(), *args, "--out", str(first)]) == 0
+        manifest = _read_json(first / "manifest.json")
+        assert manifest["command"] == command
+        rebuilt = [*_argv_from_manifest(manifest), "--out", str(second)]
+        # the manifest alone resolves every option to the value of the first run
+        parser = cli.build_parser()
+        resolved = vars(parser.parse_args([*command.split(), *args, "--out", str(second)]))
+        assert vars(parser.parse_args(rebuilt)) == resolved
+        assert main(rebuilt) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("augoverlap ")]
+        parser = cli.build_parser()
+        documented = {cli._command(parser.parse_args(shlex.split(line, comments=True)[1:])) for line in lines}
+        assert documented == set(_leaf_commands(parser))
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    src = Path(augoverlap.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "augoverlap.cli", "bounds", "--m-grid", "2", "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -241,6 +347,22 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--bogus"])
+        assert exc.value.code == 2
+
+    # --seed exists only on commands that draw random numbers
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--seed", "1"],
+            ["graph", "--views", "v.views", "--labels", "y.lab", "--threshold", "0.5", "--seed", "1"],
+            ["metrics", "--views-final", "f.views", "--views-init", "i.views", "--seed", "1"],
+            ["ci-ratio", "--left", "l.emb", "--right", "r.emb", "--labels", "y.lab", "--seed", "1"],
+            ["repro", "fig4", "--seed", "1"],
+        ],
+    )
+    def test_unread_seed_rejected(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):

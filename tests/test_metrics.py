@@ -6,13 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augoverlap import synth
-from augoverlap.data import ViewSet
+from augoverlap.data import ViewSet, sq_distances
 from augoverlap.errors import UndefinedMetricError
-from augoverlap.metrics import MetricConfig, acr, arc, ci_ratio, gacr, garc, pearson
+from augoverlap.metrics import STATS, MetricConfig, acr, arc, ci_ratio, gacr, garc, pearson
 
 
 def _views(arr, n, c):
     return ViewSet(np.asarray(arr, dtype=float), n=n, c=c)
+
+
+def _gacr_loop(views, cfg):
+    """Per-view reference for gacr: one sibling statistic, one foreign
+    statistic per other anchor and one partition per view."""
+    n, c = views.n, views.c
+    stat1, stat2 = STATS[cfg.a1], STATS[cfg.a2]
+    d2 = sq_distances(views.values).reshape(n, c, n, c)
+    confused = 0
+    for i in range(n):
+        for j in range(c):
+            d_in = stat1(np.delete(d2[i, j, i], j))
+            per_anchor = stat2(np.delete(d2[i, j], i, axis=0), axis=1)
+            kth = np.partition(per_anchor, cfg.k - 1)[cfg.k - 1]
+            confused += kth <= d_in
+    return confused / (n * c)
 
 
 class TestMetricConfig:
@@ -88,6 +104,26 @@ class TestGacr:
         v = _views([[0.0], [1.0], [2.0], [3.0]], n=2, c=2)
         with pytest.raises(ValueError, match="k=2 exceeds"):
             gacr(v, MetricConfig("max", "min", 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        c=st.integers(2, 5),
+        m=st.integers(1, 3),
+        decimals=st.sampled_from([None, 0, 1]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_loop_reference(self, n, c, m, decimals, seed):
+        # rounding to a grid makes many distances tie exactly
+        values = np.random.default_rng(seed).standard_normal((n * c, m)) * 2.0
+        if decimals is not None:
+            values = np.round(values, decimals)
+        v = ViewSet(values, n=n, c=c)
+        for a1 in STATS:
+            for a2 in STATS:
+                for k in sorted({1, min(2, n - 1), n - 1}):
+                    cfg = MetricConfig(a1, a2, k)
+                    assert gacr(v, cfg) == _gacr_loop(v, cfg), cfg
 
     def test_median_statistic(self, rng):
         v = ViewSet(rng.standard_normal((12, 2)), n=3, c=4)
