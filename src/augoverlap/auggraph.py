@@ -4,7 +4,9 @@ diameters and adjacency spectra.
 An edge (i, j) exists when the closest pair of views of anchors i and j is
 within the threshold (euclidean metric) or at least as similar as the
 threshold (cosine metric). The threshold is recorded on the graph so runs
-stay comparable.
+stay comparable. Distances come from ``data.sq_distances``, whose bits do not
+depend on the call shape for views of width <= 3, so one-view anchors are
+connected at threshold ``geomsim.longest_mst_edge(points)``.
 
 Every graph quantity is computed from one representation, the dense boolean
 adjacency returned by ``AugGraph.neighbors()``: components by a frontier
@@ -30,7 +32,7 @@ class AugGraph:
     edges: frozenset  # frozenset of (i, j) tuples with i < j
     threshold: float
     metric: str
-    edge_scores: dict = field(default_factory=dict, compare=False)  # (i, j) -> min view distance / max similarity
+    scores: np.ndarray | None = field(default=None, compare=False, repr=False)  # n x n, see build_graph
 
     def neighbors(self) -> np.ndarray:
         """Dense boolean adjacency, n x n, symmetric with an empty diagonal."""
@@ -65,7 +67,8 @@ class GraphStats:
 
 
 def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> AugGraph:
-    """Threshold the minimum inter-anchor view distance (or maximum similarity)."""
+    """Threshold the minimum inter-anchor view distance (or maximum similarity),
+    kept for i < j in ``scores[i, j]`` (inf / -inf on and below the diagonal)."""
     if metric not in ("euclidean", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
     if views.n < 2:
@@ -78,27 +81,19 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
         if not views.normalized:
             raise ValueError("cosine metric requires normalized views")
 
-    stacked = views.stacked()  # (n, c, m)
-    n, c, _ = stacked.shape
-    edges = set()
-    scores = {}
-    flat = views.values
+    n, c = views.n, views.c
+    closest = np.full((n, n), INF)  # min squared view distance, filled above the diagonal
     for i in range(n - 1):
-        block = stacked[i]  # (c, m)
-        rest = flat[(i + 1) * c :]  # ((n-i-1)*c, m)
-        if metric == "euclidean":
-            per_pair = np.sqrt(sq_distances(block, rest)).reshape(c, n - i - 1, c)
-            best = per_pair.min(axis=(0, 2))  # min view distance to each later anchor
-            hits = np.flatnonzero(best <= threshold)
-        else:
-            sims = (block @ rest.T).reshape(c, n - i - 1, c)
-            best = sims.max(axis=(0, 2))
-            hits = np.flatnonzero(best >= threshold)
-        for h in hits:
-            j = i + 1 + int(h)
-            edges.add((i, j))
-            scores[(i, j)] = float(best[h])
-    return AugGraph(n=n, edges=frozenset(edges), threshold=threshold, metric=metric, edge_scores=scores)
+        per_pair = sq_distances(views.views_of(i), views.values[(i + 1) * c :]).reshape(c, n - i - 1, c)
+        closest[i, i + 1 :] = per_pair.min(axis=(0, 2))
+    if metric == "euclidean":
+        scores = np.sqrt(closest)
+        hits = scores <= threshold
+    else:  # u.v = 1 - |u - v|^2 / 2 on unit rows
+        scores = 1.0 - closest / 2.0
+        hits = scores >= threshold
+    edges = frozenset(zip(*(idx.tolist() for idx in np.nonzero(hits))))
+    return AugGraph(n=n, edges=edges, threshold=threshold, metric=metric, scores=scores)
 
 
 def _components(adj: np.ndarray) -> list:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -26,24 +27,19 @@ from .errors import TrainingDivergenceError
 DEFAULT_M_GRID = "2,4,8,16,32,64,128,256,512,1024,2048,4096"
 
 
-def _int_grid(text: str) -> list[int]:
+def _grid(cast, noun: str, text: str) -> list:
+    """A comma-separated grid of ``cast`` values: the argparse type of every grid flag."""
     try:
-        grid = [int(tok) for tok in text.split(",") if tok.strip()]
+        grid = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
     if not grid:
         raise argparse.ArgumentTypeError("empty grid")
     return grid
 
 
-def _float_grid(text: str) -> list[float]:
-    try:
-        grid = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-    if not grid:
-        raise argparse.ArgumentTypeError("empty grid")
-    return grid
+_int_grid = functools.partial(_grid, int, "integers")
+_float_grid = functools.partial(_grid, float, "floats")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -106,11 +102,13 @@ def cmd_bounds(args) -> int:
 
 def cmd_graph(args) -> int:
     views = data.load_views(args.views)
+    if args.metric == "cosine":
+        views = data.normalize(views)
     labels = data.load_labels(args.labels)
     g = auggraph.build_graph(views, args.threshold, args.metric)
     stats = auggraph.graph_stats(g, labels)
     out = _out_dir(args)
-    edge_rows = [[i, j, g.edge_scores[(i, j)]] for i, j in sorted(g.edges)]
+    edge_rows = [[i, j, float(g.scores[i, j])] for i, j in sorted(g.edges)]
     _write_csv(out / "edges.csv", ["i", "j", "min_view_distance"], edge_rows)
     report = dataclasses.asdict(stats)
     report.update(

@@ -151,14 +151,16 @@ def normalize(x: EmbeddingSet | ViewSet) -> EmbeddingSet | ViewSet:
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Squared euclidean distances between the rows of ``a`` and of ``b``
-    (default ``a``), by the expansion |a|^2 + |b|^2 - 2 a.b clipped at 0."""
-    sq = np.sum(a**2, axis=1)
-    if b is None:
-        b, sq_b = a, sq
-    else:
-        sq_b = np.sum(b**2, axis=1)
-    return np.maximum(sq[:, None] + sq_b[None, :] - 2.0 * a @ b.T, 0.0)
+    """Squared euclidean distances between the rows of ``a`` and ``b`` (default ``a``).
+    Width <= 3 sums one coordinate at a time, so a pair's bits do not depend on the
+    call shape; wider rows use the BLAS expansion |a|^2 + |b|^2 - 2 a.b clipped at 0."""
+    b = a if b is None else b
+    if a.shape[1] <= 3:
+        out = np.zeros((a.shape[0], b.shape[0]))
+        for k in range(a.shape[1]):
+            out += (a[:, k, None] - b[None, :, k]) ** 2
+        return out
+    return np.maximum(np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T, 0.0)
 
 
 def class_means(values: np.ndarray, labels: LabelSet) -> np.ndarray:

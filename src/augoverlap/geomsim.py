@@ -168,13 +168,9 @@ def _sample_points(cfg: GeomConfig, rng: np.random.Generator) -> np.ndarray:
     return sample_flat(cfg, rng)
 
 
-def longest_mst_edge(points: np.ndarray) -> float:
-    """Exact connectivity radius of one sample: the longest minimum-spanning-tree
-    edge, found by dense Prim over the pairwise distance matrix."""
-    n = points.shape[0]
-    if n < 2:
-        raise ValueError(f"longest_mst_edge needs at least 2 points, got n={n}")
-    dist = np.sqrt(sq_distances(points))
+def _prim(dist: np.ndarray) -> float:
+    """Longest MST edge of a dense distance matrix (diagonal ignored) by Prim."""
+    n = dist.shape[0]
     in_tree = np.zeros(n, dtype=bool)
     best = np.full(n, INF)  # distance from the tree to each vertex outside it
     v, longest = 0, 0.0
@@ -185,6 +181,15 @@ def longest_mst_edge(points: np.ndarray) -> float:
         v = int(np.argmin(best))
         longest = max(longest, float(best[v]))
     return longest
+
+
+def longest_mst_edge(points: np.ndarray) -> float:
+    """Exact connectivity radius of one sample: the longest minimum-spanning-tree
+    edge, found by dense Prim over the pairwise distance matrix."""
+    n = points.shape[0]
+    if n < 2:
+        raise ValueError(f"longest_mst_edge needs at least 2 points, got n={n}")
+    return _prim(np.sqrt(sq_distances(points)))
 
 
 def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:
@@ -212,7 +217,7 @@ def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:
         far_means.append(float(far.mean()))
         mins.append(float(nn.min()))
         maxes.append(float(far.max()))
-        r_mcs.append(longest_mst_edge(pts))
+        r_mcs.append(_prim(dist))
     r3 = min_center_halfdistance(cfg.class_centers)
     regime = classify_regime(cfg.noise_r, float(np.mean(mins)), float(np.mean(maxes)), r3)
     r_mc_closed = connectivity_radius_closed_form(cfg.d, cfg.area, cfg.n) if cfg.d >= 2 else math.nan

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as csgraph_components
 from scipy.sparse.csgraph import shortest_path
+from scipy.spatial.distance import cdist
 
 from augoverlap import geomsim
 from augoverlap.auggraph import (
@@ -22,7 +23,7 @@ from augoverlap.auggraph import (
     is_bipartite,
     subgraph_diameter,
 )
-from augoverlap.data import LabelSet, ViewSet
+from augoverlap.data import LabelSet, ViewSet, normalize
 
 
 def _graph_from_edges(n, edges):
@@ -39,19 +40,35 @@ class TestBuildGraph:
         assert build_graph(views, 0.5).edges == frozenset()
         g = build_graph(views, 1.0)
         assert g.edges == frozenset({(0, 1)})
-        assert g.edge_scores[(0, 1)] == pytest.approx(1.0)
+        assert g.scores[0, 1] == pytest.approx(1.0)
 
     def test_min_over_view_pairs(self):
         # anchors far apart but one view pair is close
         views = ViewSet(np.array([[0.0, 0.0], [10.0, 0.0], [10.2, 0.0], [20.0, 0.0]]), n=2, c=2)
         g = build_graph(views, 0.5)
         assert g.edges == frozenset({(0, 1)})
-        assert g.edge_scores[(0, 1)] == pytest.approx(0.2)
+        assert g.scores[0, 1] == pytest.approx(0.2)
 
     def test_cosine_metric(self):
         views = ViewSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), n=3, c=1, normalized=True)
         g = build_graph(views, 0.9, metric="cosine")
         assert g.edges == frozenset({(0, 2)})
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 12), c=st.integers(1, 3), m=st.integers(1, 6), seed=st.integers(0, 2**31))
+    def test_scores_match_scipy(self, n, c, m, seed):
+        """Every pair's score, edge or not: the min view distance against cdist
+        and, on unit rows, the max view dot product; inf / -inf elsewhere."""
+        views = normalize(ViewSet(np.random.default_rng(seed).standard_normal((n * c, m)), n=n, c=c))
+        upper, lower = np.triu_indices(n, 1), np.tril_indices(n)
+        dist = cdist(views.values, views.values).reshape(n, c, n, c).min(axis=(1, 3))
+        dots = (views.values @ views.values.T).reshape(n, c, n, c).max(axis=(1, 3))
+        g, gc = build_graph(views, 1.0), build_graph(views, 0.5, metric="cosine")
+        np.testing.assert_allclose(g.scores[upper] ** 2, dist[upper] ** 2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gc.scores[upper], dots[upper], rtol=0, atol=1e-12)
+        assert (g.scores[lower] == np.inf).all() and (gc.scores[lower] == -np.inf).all()
+        assert g.edges == {(i, j) for i, j in zip(*upper) if g.scores[i, j] <= 1.0}
+        assert gc.edges == {(i, j) for i, j in zip(*upper) if gc.scores[i, j] >= 0.5}
 
     def test_cosine_requires_normalized(self):
         views = ViewSet(np.array([[2.0, 0.0], [0.0, 2.0]]), n=2, c=1)

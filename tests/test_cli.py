@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import augoverlap
-from augoverlap import cli, data, geomsim, synth
+from augoverlap import auggraph, cli, data, geomsim, synth
 from augoverlap.cli import _float_grid, _int_grid, main
 from augoverlap.data import LabelSet, ViewSet, save_embeddings, save_labels, save_views
 
@@ -80,6 +80,19 @@ class TestGraphCommand:
         edges = _read_csv(tmp_path / "out" / "edges.csv")
         assert edges[0] == ["i", "j", "min_view_distance"]
         assert len(edges) - 1 == report["edges"]
+
+    def test_cosine_from_saved_normalized_views(self, tmp_path):
+        pairs = synth.ci_pairs(20, 2, 3, seed=0)
+        save_views(data.normalize(geomsim.augment(pairs.left, 0.3, 2, seed=0)), tmp_path / "v.views")
+        save_labels(pairs.left_labels, tmp_path / "y.lab")
+        argv = ["graph", "--views", str(tmp_path / "v.views"), "--labels", str(tmp_path / "y.lab")]
+        rc = main([*argv, "--threshold", "0.9", "--metric", "cosine", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        views = data.normalize(data.load_views(tmp_path / "v.views"))
+        g = auggraph.build_graph(views, 0.9, "cosine")
+        expected = [[str(i), str(j), str(float(g.scores[i, j]))] for i, j in sorted(g.edges)]
+        assert 0 < len(expected) < 190
+        assert _read_csv(tmp_path / "out" / "edges.csv")[1:] == expected
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = main(["graph", "--views", "nope.views", "--labels", "nope.lab", "--threshold", "0.5", "--out", str(tmp_path)])

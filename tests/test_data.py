@@ -144,6 +144,34 @@ def test_sq_distances_match_cdist(rows_a, rows_b, dim, log_scale, square, shared
     assert (np.abs(d2 - cdist(a, other, "sqeuclidean")) <= tol).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    dim=st.integers(1, 3),
+    log_scale=st.floats(-3.0, 3.0),
+    decimals=st.sampled_from([None, 0, 1]),
+    cut=st.integers(0, 40),
+    seed=st.integers(0, 2**31),
+)
+def test_sq_distances_bits_do_not_depend_on_call_shape(rows, dim, log_scale, decimals, cut, seed):
+    """Below the width cutoff a pair's value is the same in square,
+    rectangular, single-row and row-slice calls, and symmetric."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, dim))
+    if decimals is not None:
+        a = np.round(a, decimals)  # ties and duplicate rows
+    a *= 10.0**log_scale
+    cut = min(cut, rows)
+    full = sq_distances(a)
+    assert np.array_equal(full, full.T)
+    assert np.array_equal(sq_distances(a[:cut], a), full[:cut])
+    assert np.array_equal(sq_distances(a, a[cut:]), full[:, cut:])
+    assert np.array_equal(sq_distances(a[cut:], a[:cut]), full[cut:, :cut])
+    assert np.array_equal(sq_distances(a[::2], a[1::3]), full[::2, 1::3])
+    for i in range(rows):
+        assert np.array_equal(sq_distances(a[i : i + 1], a), full[i : i + 1])
+
+
 class TestRoundTrip:
     def test_embeddings(self, tmp_path, rng):
         e = EmbeddingSet(rng.standard_normal((5, 3)))

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from augoverlap.data import EmbeddingSet
+from augoverlap.auggraph import build_graph, connected_components
+from augoverlap.data import EmbeddingSet, ViewSet
 from augoverlap.geomsim import (
     GeomConfig,
+    _sample_points,
     augment,
     classify_regime,
     connectivity_radius_closed_form,
@@ -140,11 +142,8 @@ class TestMst:
         pts = rng.random((30, 2))
         r_mc = longest_mst_edge(pts)
         # at radius r_mc the graph is connected; strictly below it is not
-        from augoverlap.auggraph import build_graph, connected_components
-        from augoverlap.data import ViewSet
-
         views = ViewSet(pts, n=30, c=1)
-        assert len(connected_components(build_graph(views, r_mc + 1e-12))) == 1
+        assert len(connected_components(build_graph(views, r_mc))) == 1
         assert len(connected_components(build_graph(views, r_mc * (1 - 1e-9)))) > 1
 
     def test_matches_sorted_edge_sweep(self, rng):
@@ -155,8 +154,7 @@ class TestMst:
             pts = rng.random((n, d))
             if trial % 2:
                 pts = np.round(pts, 1)
-            d2 = np.sum(pts**2, axis=1)
-            dist = np.sqrt(np.maximum(d2[:, None] + d2[None, :] - 2.0 * pts @ pts.T, 0.0))
+            dist = np.sqrt(sum((pts[:, None, k] - pts[None, :, k]) ** 2 for k in range(d)))
             iu, ju = np.triu_indices(n, k=1)
             comp = np.arange(n)
             merges, longest = 0, 0.0
@@ -170,6 +168,17 @@ class TestMst:
                         break
             assert longest_mst_edge(pts) == longest
 
+    def test_graph_at_the_radius_is_connected(self):
+        """The graph at threshold exactly the longest MST edge is connected:
+        build_graph and longest_mst_edge see the same distance bits."""
+        rng = np.random.default_rng(2)
+        disconnected = 0
+        for _ in range(200):
+            pts = rng.random((int(rng.integers(100, 401)), 2))
+            graph = build_graph(ViewSet(pts, n=pts.shape[0], c=1), longest_mst_edge(pts))
+            disconnected += len(connected_components(graph)) > 1
+        assert disconnected == 0, f"{disconnected} of 200 graphs disconnected at the longest MST edge"
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="n=1"):
             longest_mst_edge(np.zeros((1, 2)))
@@ -182,6 +191,14 @@ class TestEmpiricalRegime:
         assert 0.0 < rep.r1 < rep.r2
         assert rep.r_mc_empirical > 0.0
         assert rep.regime in ("no_overlap", "intermediate", "full", "over")
+
+    @pytest.mark.parametrize("centers", [None, NORTH_SOUTH])
+    def test_mst_radius_is_longest_mst_edge(self, centers):
+        """The one-pass Prim gives exactly longest_mst_edge on the same draws."""
+        cfg = GeomConfig(d=2 if centers is None else 3, n=60, area=1.0, class_centers=centers, seed=4)
+        rng = np.random.default_rng(cfg.seed)
+        radii = [longest_mst_edge(_sample_points(cfg, rng)) for _ in range(3)]
+        assert empirical_regime(cfg, trials=3).r_mc_empirical == float(np.mean(radii))
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
