@@ -84,8 +84,8 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
     n, c = views.n, views.c
     closest = np.full((n, n), INF)  # min squared view distance, filled above the diagonal
     for i in range(n - 1):
-        per_pair = sq_distances(views.views_of(i), views.values[(i + 1) * c :]).reshape(c, n - i - 1, c)
-        closest[i, i + 1 :] = per_pair.min(axis=(0, 2))
+        others = views.stacked()[i + 1 :].transpose(1, 0, 2).reshape(-1, views.m)  # view-major
+        closest[i, i + 1 :] = sq_distances(views.views_of(i), others).reshape(c * c, n - i - 1).min(axis=0)
     if metric == "euclidean":
         scores = np.sqrt(closest)
         hits = scores <= threshold
@@ -123,22 +123,25 @@ def connected_components(g: AugGraph) -> list:
 
 def _bfs(block: np.ndarray) -> tuple[float, bool]:
     """All-source, level-synchronous BFS on a square boolean block: (diameter,
-    bipartite). Row i of ``frontier`` holds the vertices at the current level
-    from source i. The diameter is inf when some source misses a vertex. An edge
-    joining two vertices of one level closes an odd cycle, so the block is
-    bipartite exactly when no level has one."""
+    bipartite). Row r of ``frontier`` holds the current level from source
+    ``active[r]``, the sources still growing. The diameter is inf when some
+    source misses a vertex. An edge joining two vertices of one level closes an
+    odd cycle, so the block is bipartite exactly when no level has one."""
     # float32 products go through BLAS; their 0/1 sums are exact below 2**24
     weights = block.astype(np.float32)
     reach = np.eye(block.shape[0], dtype=bool)
+    active = np.arange(block.shape[0])
     frontier = reach
     levels, bipartite = 0, True
     while True:
         step = (frontier.astype(np.float32) @ weights) > 0
         bipartite = bipartite and not (step & frontier).any()
-        frontier = step & ~reach
-        if not frontier.any():
+        frontier = step & ~reach[active]
+        live = frontier.any(axis=1)
+        if not live.any():
             break
-        reach |= frontier
+        active, frontier = active[live], frontier[live]
+        reach[active] |= frontier
         levels += 1
     return (float(levels) if reach.all() else INF), bipartite
 

@@ -108,8 +108,8 @@ def cmd_graph(args) -> int:
     g = auggraph.build_graph(views, args.threshold, args.metric)
     stats = auggraph.graph_stats(g, labels)
     out = _out_dir(args)
-    edge_rows = [[i, j, float(g.scores[i, j])] for i, j in sorted(g.edges)]
-    _write_csv(out / "edges.csv", ["i", "j", "min_view_distance"], edge_rows)
+    score = "max_view_similarity" if g.metric == "cosine" else "min_view_distance"
+    _write_csv(out / "edges.csv", ["i", "j", score], [[i, j, float(g.scores[i, j])] for i, j in sorted(g.edges)])
     report = dataclasses.asdict(stats)
     report.update(
         n=g.n,
@@ -145,10 +145,9 @@ def cmd_metrics(args) -> int:
     for a1, a2 in variants:
         vcfg = metrics.MetricConfig(a1=a1, a2=a2, k=args.k)
         name = f"{a1},{a2},k={args.k}"
-        g_final = metrics.gacr(final_views, vcfg)
-        g_init = metrics.gacr(init_views, vcfg)
+        g_final, g_init = metrics.gacr(final_views, vcfg), metrics.gacr(init_views, vcfg)
         report["gacr_variants"][name] = {"final": g_final, "init": g_init}
-        report["garc_variants"][name] = metrics.garc(final_views, init_views, vcfg)
+        report["garc_variants"][name] = metrics.relative_gacr(g_final, g_init)
     _write_json(_out_dir(args) / "metrics.json", report)
     _finish(args, report)
     return 0

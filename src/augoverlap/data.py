@@ -153,14 +153,16 @@ def normalize(x: EmbeddingSet | ViewSet) -> EmbeddingSet | ViewSet:
 def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Squared euclidean distances between the rows of ``a`` and ``b`` (default ``a``).
     Width <= 3 sums one coordinate at a time, so a pair's bits do not depend on the
-    call shape; wider rows use the BLAS expansion |a|^2 + |b|^2 - 2 a.b clipped at 0."""
+    call shape; wider rows use the BLAS expansion |a|^2 + |b|^2 - 2 a.b clipped at 0.
+    The square form is exactly symmetric for every width."""
     b = a if b is None else b
-    if a.shape[1] <= 3:
-        out = np.zeros((a.shape[0], b.shape[0]))
-        for k in range(a.shape[1]):
-            out += (a[:, k, None] - b[None, :, k]) ** 2
-        return out
-    return np.maximum(np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T, 0.0)
+    if a.shape[1] > 3:  # a @ a.T runs as one symmetric product
+        return np.maximum(np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * (a @ b.T), 0.0)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(out)
+    for k in range(a.shape[1]):
+        out += np.square(np.subtract(a[:, k, None], b[None, :, k], out=diff), out=diff)
+    return out
 
 
 def class_means(values: np.ndarray, labels: LabelSet) -> np.ndarray:
@@ -180,19 +182,19 @@ def class_means(values: np.ndarray, labels: LabelSet) -> np.ndarray:
 # parsing helpers
 
 
-def _read_lines(path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
+def _read_file(path, magic: str, fields: str) -> tuple[list[str], tuple[int, ...]]:
+    """The lines of a file whose line 1 is ``magic`` and whose line 2 holds
+    ``name=<int>`` for each name in ``fields``, and those integers."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    return lines
-
-
-def _parse_header(line: str, lineno: int, pattern: str, names: tuple[str, ...]) -> tuple[int, ...]:
-    m = re.fullmatch(pattern, line)
+    if not lines or lines[0] != magic:
+        raise ParseError(f"{path}: line 1: expected '{magic}' header")
+    header = lines[1] if len(lines) > 1 else ""
+    m = re.fullmatch(" ".join(rf"{name}=(\d+)" for name in fields.split()), header)
     if m is None:
-        raise ParseError(f"line {lineno}: malformed header {line!r}")
-    return tuple(int(m.group(name)) for name in names)
+        raise ParseError(f"line 2: malformed header {header!r}")
+    return lines, tuple(int(v) for v in m.groups())
 
 
 def _parse_matrix(lines: list[str], start: int, rows: int, cols: int, path) -> np.ndarray:
@@ -217,30 +219,17 @@ def _parse_matrix(lines: list[str], start: int, rows: int, cols: int, path) -> n
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    lines = _read_lines(path)
-    if not lines or lines[0] != "EMB v1":
-        raise ParseError(f"{path}: line 1: expected 'EMB v1' header")
-    n, m = _parse_header(lines[1] if len(lines) > 1 else "", 2, r"n=(?P<n>\d+) dim=(?P<m>\d+)", ("n", "m"))
-    values = _parse_matrix(lines, 2, n, m, path)
-    return EmbeddingSet(values, normalized=False)
+    lines, (n, m) = _read_file(path, "EMB v1", "n dim")
+    return EmbeddingSet(_parse_matrix(lines, 2, n, m, path), normalized=False)
 
 
 def load_views(path) -> ViewSet:
-    lines = _read_lines(path)
-    if not lines or lines[0] != "VIEWS v1":
-        raise ParseError(f"{path}: line 1: expected 'VIEWS v1' header")
-    n, c, m = _parse_header(
-        lines[1] if len(lines) > 1 else "", 2, r"n=(?P<n>\d+) c=(?P<c>\d+) dim=(?P<m>\d+)", ("n", "c", "m")
-    )
-    values = _parse_matrix(lines, 2, n * c, m, path)
-    return ViewSet(values, n=n, c=c)
+    lines, (n, c, m) = _read_file(path, "VIEWS v1", "n c dim")
+    return ViewSet(_parse_matrix(lines, 2, n * c, m, path), n=n, c=c)
 
 
 def load_labels(path) -> LabelSet:
-    lines = _read_lines(path)
-    if not lines or lines[0] != "LAB v1":
-        raise ParseError(f"{path}: line 1: expected 'LAB v1' header")
-    n, k = _parse_header(lines[1] if len(lines) > 1 else "", 2, r"n=(?P<n>\d+) k=(?P<k>\d+)", ("n", "k"))
+    lines, (n, k) = _read_file(path, "LAB v1", "n k")
     if len(lines) - 2 != n:
         raise ParseError(f"{path}: line {len(lines) + 1}: expected {n} label rows, found {len(lines) - 2}")
     labels = np.empty(n, dtype=np.int64)
@@ -269,7 +258,8 @@ def load_pairs(path_left, path_right, labels_left=None, labels_right=None) -> Po
 
 
 def _format_matrix(values: np.ndarray) -> str:
-    return "\n".join(" ".join(_FLOAT_FMT % v for v in row) for row in values)
+    row_fmt = " ".join([_FLOAT_FMT] * values.shape[1])
+    return "\n".join(row_fmt % tuple(row.tolist()) for row in values)
 
 
 def save_embeddings(e: EmbeddingSet, path) -> None:

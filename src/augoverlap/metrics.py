@@ -4,8 +4,10 @@ and the conditional-independence ratio diagnostic.
 
 Conventions: ties d_out = d_in count as confusion; the intra-anchor multiset
 excludes the zero self-distance; the plain confusion ratio uses unsquared
-distances while the generalized one uses squared distances (the two orderings
-coincide, so GACR(max, min, 1) reduces to ACR exactly).
+distances while the generalized one uses squared distances. Both come from one
+core, ``_confusion``: ACR is GACR(max, min, 1) with ``sqrt`` applied to the two
+reduced per-view statistics, which gives the bits of the full distance matrix's
+``sqrt`` because ``sqrt`` is monotone and correctly rounded.
 """
 
 from __future__ import annotations
@@ -38,57 +40,61 @@ class MetricConfig:
             raise ValueError("k must be >= 1")
 
 
-def _check_views(views: ViewSet) -> None:
-    if views.n < 2:
+def _confusion(views: ViewSet, a1: str, a2: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per view, as two (n, c) arrays: the k-th smallest foreign-anchor statistic
+    ``a2`` and the sibling statistic ``a1`` of the squared distances. These are
+    exactly symmetric, so anchor j's statistic for view (i, a) reduces anchor j's
+    views over axis 1 rather than over the contiguous last axis (a mean over 8 or
+    more views is then summed in view order, not numpy's blocked pairwise order)."""
+    n, c = views.n, views.c
+    if n < 2:
         raise ValueError("need at least 2 anchors")
-    if views.c < 2:
+    if c < 2:
         raise ValueError("need at least 2 views per anchor")
+    if k > n - 1:
+        raise ValueError(f"k={k} exceeds the {n - 1} available foreign anchors")
+    d4 = sq_distances(views.values).reshape(n, c, n, c)
+    anchors = np.arange(n)
+    siblings = d4[anchors, :, anchors][:, ~np.eye(c, dtype=bool)].reshape(n, c, c - 1)  # self term excluded
+    foreign = STATS[a2](d4, axis=1)  # (n_j, n_i, c)
+    foreign[anchors, anchors] = np.inf  # the own anchor never ranks among the k nearest
+    kth = foreign.min(axis=0) if k == 1 else np.partition(foreign, k - 1, axis=0)[k - 1]
+    return kth, STATS[a1](siblings, axis=-1)
 
 
 def acr(views: ViewSet) -> float:
     """Fraction of views whose closest foreign view is at least as close as
     their farthest sibling view."""
-    _check_views(views)
-    n, c = views.n, views.c
-    dist = np.sqrt(sq_distances(views.values))
-    anchor_of = np.repeat(np.arange(n), c)
-    same = anchor_of[:, None] == anchor_of[None, :]
-    d_in = np.where(same, dist, -np.inf).max(axis=1)
-    d_out = np.where(same, np.inf, dist).min(axis=1)
-    return float(np.mean(d_out <= d_in))
+    d_out, d_in = _confusion(views, "max", "min", 1)
+    return float(np.mean(np.sqrt(d_out) <= np.sqrt(d_in)))
+
+
+def _relative(final: float, init: float, message: str) -> float:
+    if init >= 1.0:
+        raise UndefinedMetricError(message)
+    return (1.0 - final) / (1.0 - init)
 
 
 def arc(acr_final: float, acr_init: float) -> float:
     """Relative confusion (1 - ACR_final) / (1 - ACR_init)."""
-    if acr_init >= 1.0:
-        raise UndefinedMetricError("initial confusion ratio is 1, relative confusion undefined")
-    return (1.0 - acr_final) / (1.0 - acr_init)
+    return _relative(acr_final, acr_init, "initial confusion ratio is 1, relative confusion undefined")
 
 
 def gacr(views: ViewSet, cfg: MetricConfig = MetricConfig()) -> float:
     """Generalized confusion ratio with statistic selectors and k-th-smallest
     inter-anchor comparison."""
-    _check_views(views)
-    if cfg.k > views.n - 1:
-        raise ValueError(f"k={cfg.k} exceeds the {views.n - 1} available foreign anchors")
-    n, c = views.n, views.c
-    d2 = sq_distances(views.values).reshape(n, c, n, c)
-    anchors = np.arange(n)
-    own = d2[anchors, :, anchors]  # (n, c, c): distances among one anchor's views
-    siblings = own[:, ~np.eye(c, dtype=bool)].reshape(n, c, c - 1)  # self term excluded
-    d_in = STATS[cfg.a1](siblings, axis=-1)
-    per_anchor = STATS[cfg.a2](d2, axis=-1)  # (n, c, n)
-    per_anchor[anchors, :, anchors] = np.inf  # the own anchor never ranks among the k nearest
-    kth = np.partition(per_anchor, cfg.k - 1, axis=-1)[..., cfg.k - 1]
+    kth, d_in = _confusion(views, cfg.a1, cfg.a2, cfg.k)
     return float(np.mean(kth <= d_in))
+
+
+def relative_gacr(gacr_final: float, gacr_init: float) -> float:
+    """Generalized relative confusion (1 - GACR_final) / (1 - GACR_init)."""
+    return _relative(gacr_final, gacr_init, "initial generalized confusion ratio is 1, relative value undefined")
 
 
 def garc(final_views: ViewSet, init_views: ViewSet, cfg: MetricConfig = MetricConfig()) -> float:
     """Generalized relative confusion between a final and an initial encoder's views."""
-    g_init = gacr(init_views, cfg)
-    if g_init >= 1.0:
-        raise UndefinedMetricError("initial generalized confusion ratio is 1, relative value undefined")
-    return (1.0 - gacr(final_views, cfg)) / (1.0 - g_init)
+    return relative_gacr(gacr(final_views, cfg), gacr(init_views, cfg))
 
 
 def pearson(xs, ys) -> float:

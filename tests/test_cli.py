@@ -92,7 +92,9 @@ class TestGraphCommand:
         g = auggraph.build_graph(views, 0.9, "cosine")
         expected = [[str(i), str(j), str(float(g.scores[i, j]))] for i, j in sorted(g.edges)]
         assert 0 < len(expected) < 190
-        assert _read_csv(tmp_path / "out" / "edges.csv")[1:] == expected
+        edges = _read_csv(tmp_path / "out" / "edges.csv")
+        assert edges[0] == ["i", "j", "max_view_similarity"]
+        assert edges[1:] == expected
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = main(["graph", "--views", "nope.views", "--labels", "nope.lab", "--threshold", "0.5", "--out", str(tmp_path)])

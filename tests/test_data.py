@@ -172,6 +172,40 @@ def test_sq_distances_bits_do_not_depend_on_call_shape(rows, dim, log_scale, dec
         assert np.array_equal(sq_distances(a[i : i + 1], a), full[i : i + 1])
 
 
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(193, 320),
+    dim=st.integers(4, 64),
+    log_scale=st.floats(-3.0, 3.0),
+    decimals=st.sampled_from([None, 0, 1]),
+    seed=st.integers(0, 2**31),
+)
+def test_sq_distances_square_form_is_symmetric(rows, dim, log_scale, decimals, seed):
+    """Above the width cutoff the square form is exactly symmetric too; acr and
+    gacr rely on it. A general product (2a) @ a.T rounds the two triangles
+    differently once BLAS splits the rows into blocks (from 193 rows with
+    OpenBLAS 0.3.31), hence the row range."""
+    a = np.random.default_rng(seed).standard_normal((rows, dim))
+    if decimals is not None:
+        a = np.round(a, decimals)
+    d2 = sq_distances(a * 10.0**log_scale)
+    assert np.array_equal(d2, d2.T)
+
+
+def test_writer_matches_per_value_format(tmp_path):
+    values = np.array(
+        [
+            [-0.0, 0.0, 1e-300, 5e-324, -5e-324],
+            [1.0 / 3.0, -2.5e10, 123456789.123, 1e-5, -1.7976931348623157e308],
+        ]
+    )
+    body = "\n".join(" ".join("%.9g" % v for v in row) for row in values)
+    save_embeddings(EmbeddingSet(values), tmp_path / "e.emb")
+    text = (tmp_path / "e.emb").read_text(encoding="utf-8")
+    assert text == f"EMB v1\nn=2 dim=5\n{body}\n"
+    assert text.split("\n")[2].split() == ["-0", "0", "1e-300", "4.94065646e-324", "-4.94065646e-324"]
+
 class TestRoundTrip:
     def test_embeddings(self, tmp_path, rng):
         e = EmbeddingSet(rng.standard_normal((5, 3)))

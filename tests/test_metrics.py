@@ -31,6 +31,18 @@ def _gacr_loop(views, cfg):
     return confused / (n * c)
 
 
+def _acr_full_matrix(views):
+    """Full-matrix reference for acr: unsquared distances with the own anchor's
+    block masked out of the foreign minimum and into the sibling maximum."""
+    n, c = views.n, views.c
+    dist = np.sqrt(sq_distances(views.values))
+    anchor_of = np.repeat(np.arange(n), c)
+    same = anchor_of[:, None] == anchor_of[None, :]
+    d_in = np.where(same, dist, -np.inf).max(axis=1)
+    d_out = np.where(same, np.inf, dist).min(axis=1)
+    return float(np.mean(d_out <= d_in))
+
+
 class TestMetricConfig:
     def test_defaults(self):
         cfg = MetricConfig()
@@ -63,6 +75,22 @@ class TestAcr:
         # second view are confused, the two outer views are not
         v = _views([[0.0], [0.1], [5.0], [0.2]], n=2, c=2)
         assert acr(v) == pytest.approx(0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        c=st.integers(2, 6),
+        m=st.integers(1, 16),
+        decimals=st.sampled_from([None, 0, 1]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_full_matrix_reference(self, n, c, m, decimals, seed):
+        # rounding to a grid makes many distances tie exactly
+        values = np.random.default_rng(seed).standard_normal((n * c, m)) * 2.0
+        if decimals is not None:
+            values = np.round(values, decimals)
+        v = ViewSet(values, n=n, c=c)
+        assert acr(v) == _acr_full_matrix(v)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="2 anchors"):
@@ -109,7 +137,7 @@ class TestGacr:
     @given(
         n=st.integers(2, 7),
         c=st.integers(2, 5),
-        m=st.integers(1, 3),
+        m=st.integers(1, 16),
         decimals=st.sampled_from([None, 0, 1]),
         seed=st.integers(0, 2**31),
     )
