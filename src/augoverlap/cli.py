@@ -129,9 +129,13 @@ def cmd_graph(args) -> int:
 def cmd_metrics(args) -> int:
     final_views = data.load_views(args.views_final)
     init_views = data.load_views(args.views_init)
-    cfg = metrics.MetricConfig(a1=args.a1, a2=args.a2, k=args.k)
-    acr_final = metrics.acr(final_views)
-    acr_init = metrics.acr(init_views)
+    variants = [("max", "min"), ("min", "min"), ("max", "max"), ("min", "max"), ("mean", "mean"), ("median", "median")]
+    if (args.a1, args.a2) not in variants:
+        variants.insert(0, (args.a1, args.a2))
+    cfgs = [metrics.MetricConfig(a1=a1, a2=a2, k=args.k) for a1, a2 in variants]
+    # one view set after the other, so one distance matrix is alive at a time
+    acr_final, gacr_final = metrics.confusion_ratios(final_views, cfgs)
+    acr_init, gacr_init = metrics.confusion_ratios(init_views, cfgs)
     report = {
         "acr_final": acr_final,
         "acr_init": acr_init,
@@ -139,13 +143,8 @@ def cmd_metrics(args) -> int:
         "gacr_variants": {},
         "garc_variants": {},
     }
-    variants = [("max", "min"), ("min", "min"), ("max", "max"), ("min", "max"), ("mean", "mean"), ("median", "median")]
-    if (cfg.a1, cfg.a2) not in variants:
-        variants.insert(0, (cfg.a1, cfg.a2))
-    for a1, a2 in variants:
-        vcfg = metrics.MetricConfig(a1=a1, a2=a2, k=args.k)
-        name = f"{a1},{a2},k={args.k}"
-        g_final, g_init = metrics.gacr(final_views, vcfg), metrics.gacr(init_views, vcfg)
+    for cfg, g_final, g_init in zip(cfgs, gacr_final, gacr_init):
+        name = f"{cfg.a1},{cfg.a2},k={cfg.k}"
         report["gacr_variants"][name] = {"final": g_final, "init": g_init}
         report["garc_variants"][name] = metrics.relative_gacr(g_final, g_init)
     _write_json(_out_dir(args) / "metrics.json", report)

@@ -10,6 +10,14 @@ File formats (UTF-8, LF line endings):
 
 Floats are serialized with 9 significant digits, so canonical files round-trip
 byte-identically. Loaders never normalize; call :func:`normalize` explicitly.
+
+Loaders convert the data rows a block at a time (at most ``_BLOCK_VALUES``
+values, so the temporary str tokens stay at a few MB): one ``np.array`` call
+over the block's split lines, accepted when it has the declared shape and every
+value is finite (LAB: in [0, K)). numpy's str cast calls Python's ``float`` and
+``int``, so the block path accepts exactly the tokens the per-row parse does.
+Any other block falls back to the per-row parse, which raises a ParseError
+naming the file and the first bad line.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 from .errors import DegenerateInputError, ParseError
 
 _FLOAT_FMT = "%.9g"
+_BLOCK_VALUES = 1 << 16  # values per parsed block: its str tokens stay at a few MB
 
 
 def _checked_matrix(v: np.ndarray, name: str, normalized: bool) -> np.ndarray:
@@ -193,56 +202,79 @@ def _read_file(path, magic: str, fields: str) -> tuple[list[str], tuple[int, ...
     header = lines[1] if len(lines) > 1 else ""
     m = re.fullmatch(" ".join(rf"{name}=(\d+)" for name in fields.split()), header)
     if m is None:
-        raise ParseError(f"line 2: malformed header {header!r}")
+        raise ParseError(f"{path}: line 2: malformed header {header!r}")
     return lines, tuple(int(v) for v in m.groups())
 
 
-def _parse_matrix(lines: list[str], start: int, rows: int, cols: int, path) -> np.ndarray:
-    if len(lines) - start < rows:
-        raise ParseError(f"{path}: line {len(lines) + 1}: expected {rows} data rows, found {len(lines) - start}")
-    if len(lines) - start > rows:
-        raise ParseError(f"{path}: line {start + rows + 1}: trailing data beyond declared {rows} rows")
-    out = np.empty((rows, cols), dtype=np.float64)
-    for r in range(rows):
-        lineno = start + r + 1
-        fields = lines[start + r].split()
+def _parse_rows(lines: list[str], cols: int, dtype, valid, parse_row, path) -> np.ndarray:
+    """The data rows ``lines[2:]`` as a (rows, cols) array, a block at a time. A
+    block that fails to convert, has another shape or fails ``valid`` is parsed
+    again by ``parse_row(line, where)``, which raises at its first bad line."""
+    rows = len(lines) - 2
+    out = np.empty((rows, cols), dtype=dtype)
+    step = max(1, _BLOCK_VALUES // max(cols, 1))
+    for lo in range(0, rows, step):
+        block = lines[2 + lo : 2 + lo + step]
+        try:
+            values = np.array([line.split() for line in block], dtype=dtype)
+        except (ValueError, OverflowError):  # a bad token or a ragged block
+            values = None
+        if values is not None and values.shape == (len(block), cols) and valid(values):
+            out[lo : lo + len(block)] = values
+            continue
+        for r, line in enumerate(block, lo):
+            out[r] = parse_row(line, f"{path}: line {r + 3}")
+    return out
+
+
+def _parse_matrix(lines: list[str], rows: int, cols: int, path) -> np.ndarray:
+    if len(lines) - 2 < rows:
+        raise ParseError(f"{path}: line {len(lines) + 1}: expected {rows} data rows, found {len(lines) - 2}")
+    if len(lines) - 2 > rows:
+        raise ParseError(f"{path}: line {rows + 3}: trailing data beyond declared {rows} rows")
+
+    def float_row(line: str, where: str) -> np.ndarray:
+        fields = line.split()
         if len(fields) != cols:
-            raise ParseError(f"{path}: line {lineno}: expected {cols} values, found {len(fields)}")
+            raise ParseError(f"{where}: expected {cols} values, found {len(fields)}")
         try:
             row = np.array([float(f) for f in fields])
         except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            raise ParseError(f"{where}: {exc}") from None
         if not np.all(np.isfinite(row)):
-            raise ParseError(f"{path}: line {lineno}: non-finite value")
-        out[r] = row
-    return out
+            raise ParseError(f"{where}: non-finite value")
+        return row
+
+    return _parse_rows(lines, cols, np.float64, lambda v: np.isfinite(v).all(), float_row, path)
 
 
 def load_embeddings(path) -> EmbeddingSet:
     lines, (n, m) = _read_file(path, "EMB v1", "n dim")
-    return EmbeddingSet(_parse_matrix(lines, 2, n, m, path), normalized=False)
+    return EmbeddingSet(_parse_matrix(lines, n, m, path), normalized=False)
 
 
 def load_views(path) -> ViewSet:
     lines, (n, c, m) = _read_file(path, "VIEWS v1", "n c dim")
-    return ViewSet(_parse_matrix(lines, 2, n * c, m, path), n=n, c=c)
+    return ViewSet(_parse_matrix(lines, n * c, m, path), n=n, c=c)
 
 
 def load_labels(path) -> LabelSet:
     lines, (n, k) = _read_file(path, "LAB v1", "n k")
     if len(lines) - 2 != n:
         raise ParseError(f"{path}: line {len(lines) + 1}: expected {n} label rows, found {len(lines) - 2}")
-    labels = np.empty(n, dtype=np.int64)
-    for r in range(n):
-        lineno = r + 3
-        field = lines[r + 2].strip()
+
+    def label_row(line: str, where: str) -> int:
+        field = line.strip()
         try:
-            labels[r] = int(field)
+            label = int(field)
         except ValueError:
-            raise ParseError(f"{path}: line {lineno}: expected an integer, got {field!r}") from None
-        if not 0 <= labels[r] < k:
-            raise ParseError(f"{path}: line {lineno}: label {labels[r]} out of range [0, {k})")
-    return LabelSet(labels, k=k)
+            raise ParseError(f"{where}: expected an integer, got {field!r}") from None
+        if not 0 <= label < k:  # a Python int, so a label beyond int64 is out of range too
+            raise ParseError(f"{where}: label {label} out of range [0, {k})")
+        return label
+
+    labels = _parse_rows(lines, 1, np.int64, lambda v: ((v >= 0) & (v < k)).all(), label_row, path)
+    return LabelSet(labels[:, 0], k=k)
 
 
 def load_pairs(path_left, path_right, labels_left=None, labels_right=None) -> PositivePairs:

@@ -5,13 +5,17 @@ and the conditional-independence ratio diagnostic.
 Conventions: ties d_out = d_in count as confusion; the intra-anchor multiset
 excludes the zero self-distance; the plain confusion ratio uses unsquared
 distances while the generalized one uses squared distances. Both come from one
-core, ``_confusion``: ACR is GACR(max, min, 1) with ``sqrt`` applied to the two
+core, ``_confusions``: ACR is GACR(max, min, 1) with ``sqrt`` applied to the two
 reduced per-view statistics, which gives the bits of the full distance matrix's
-``sqrt`` because ``sqrt`` is monotone and correctly rounded.
+``sqrt`` because ``sqrt`` is monotone and correctly rounded. The core reduces
+any number of configurations over one distance matrix, so
+:func:`confusion_ratios` gives ACR and several GACR variants of one view set
+for the cost of one matrix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,33 +44,54 @@ class MetricConfig:
             raise ValueError("k must be >= 1")
 
 
-def _confusion(views: ViewSet, a1: str, a2: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per view, as two (n, c) arrays: the k-th smallest foreign-anchor statistic
-    ``a2`` and the sibling statistic ``a1`` of the squared distances. These are
-    exactly symmetric, so anchor j's statistic for view (i, a) reduces anchor j's
-    views over axis 1 rather than over the contiguous last axis (a mean over 8 or
-    more views is then summed in view order, not numpy's blocked pairwise order)."""
+def _confusions(views: ViewSet, cfgs: Sequence[MetricConfig]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per config, as two (n, c) arrays: the k-th smallest foreign-anchor statistic
+    ``a2`` and the sibling statistic ``a1`` of the squared distances, all reduced
+    from one distance matrix. It is exactly symmetric, so anchor j's statistic for
+    view (i, a) reduces anchor j's views over axis 1 rather than over the
+    contiguous last axis (a mean over 8 or more views is then summed in view
+    order, not numpy's blocked pairwise order)."""
     n, c = views.n, views.c
     if n < 2:
         raise ValueError("need at least 2 anchors")
     if c < 2:
         raise ValueError("need at least 2 views per anchor")
-    if k > n - 1:
-        raise ValueError(f"k={k} exceeds the {n - 1} available foreign anchors")
+    for cfg in cfgs:
+        if cfg.k > n - 1:
+            raise ValueError(f"k={cfg.k} exceeds the {n - 1} available foreign anchors")
     d4 = sq_distances(views.values).reshape(n, c, n, c)
     anchors = np.arange(n)
     siblings = d4[anchors, :, anchors][:, ~np.eye(c, dtype=bool)].reshape(n, c, c - 1)  # self term excluded
-    foreign = STATS[a2](d4, axis=1)  # (n_j, n_i, c)
-    foreign[anchors, anchors] = np.inf  # the own anchor never ranks among the k nearest
-    kth = foreign.min(axis=0) if k == 1 else np.partition(foreign, k - 1, axis=0)[k - 1]
-    return kth, STATS[a1](siblings, axis=-1)
+    out = [None] * len(cfgs)
+    for a2 in dict.fromkeys(cfg.a2 for cfg in cfgs):  # one (n, n, c) reduction alive at a time
+        foreign = STATS[a2](d4, axis=1)  # (n_j, n_i, c)
+        foreign[anchors, anchors] = np.inf  # the own anchor never ranks among the k nearest
+        for i, cfg in enumerate(cfgs):
+            if cfg.a2 == a2:
+                kth = foreign.min(axis=0) if cfg.k == 1 else np.partition(foreign, cfg.k - 1, axis=0)[cfg.k - 1]
+                out[i] = kth, STATS[cfg.a1](siblings, axis=-1)
+    return out
+
+
+def _acr(d_out: np.ndarray, d_in: np.ndarray) -> float:
+    return float(np.mean(np.sqrt(d_out) <= np.sqrt(d_in)))
+
+
+def _gacr(kth: np.ndarray, d_in: np.ndarray) -> float:
+    return float(np.mean(kth <= d_in))
 
 
 def acr(views: ViewSet) -> float:
     """Fraction of views whose closest foreign view is at least as close as
     their farthest sibling view."""
-    d_out, d_in = _confusion(views, "max", "min", 1)
-    return float(np.mean(np.sqrt(d_out) <= np.sqrt(d_in)))
+    return _acr(*_confusions(views, [MetricConfig()])[0])
+
+
+def confusion_ratios(views: ViewSet, cfgs: Sequence[MetricConfig]) -> tuple[float, list[float]]:
+    """``acr(views)`` and ``gacr(views, cfg)`` for each config in ``cfgs``, with
+    the same bits, from one distance matrix."""
+    first, *rest = _confusions(views, [MetricConfig(), *cfgs])
+    return _acr(*first), [_gacr(*pair) for pair in rest]
 
 
 def _relative(final: float, init: float, message: str) -> float:
@@ -83,8 +108,7 @@ def arc(acr_final: float, acr_init: float) -> float:
 def gacr(views: ViewSet, cfg: MetricConfig = MetricConfig()) -> float:
     """Generalized confusion ratio with statistic selectors and k-th-smallest
     inter-anchor comparison."""
-    kth, d_in = _confusion(views, cfg.a1, cfg.a2, cfg.k)
-    return float(np.mean(kth <= d_in))
+    return _gacr(*_confusions(views, [cfg])[0])
 
 
 def relative_gacr(gacr_final: float, gacr_init: float) -> float:

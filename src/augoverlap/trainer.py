@@ -96,6 +96,11 @@ def infonce_batch_loss(f1: np.ndarray, f2: np.ndarray, m_negatives: int | None =
 
     Anchor i's positive is f2[i]; its negatives are the other rows of f2
     (optionally a random subset of size m_negatives).
+
+    Subsetting draws one (b, b) matrix of keys ``rng.random((b, b))`` per call
+    and gives row i the m_negatives off-diagonal columns with the smallest keys:
+    a uniform random subset per row, independent across rows, and a fixed
+    function of the rng state.
     """
     b = f1.shape[0]
     if b < 2:
@@ -105,11 +110,12 @@ def infonce_batch_loss(f1: np.ndarray, f2: np.ndarray, m_negatives: int | None =
     if m_negatives is not None and m_negatives < b - 1:
         if rng is None:
             raise ValueError("m_negatives subsetting needs an rng")
-        keep = np.zeros((b, b), dtype=bool)
-        for i in range(b):
-            choices = np.delete(np.arange(b), i)
-            keep[i, rng.choice(choices, size=m_negatives, replace=False)] = True
-        mask = keep
+        if m_negatives < 1:
+            raise ValueError("m_negatives must be >= 1")
+        keys = rng.random((b, b))
+        np.fill_diagonal(keys, np.inf)  # the positive is never a negative
+        mask = np.zeros((b, b), dtype=bool)
+        np.put_along_axis(mask, np.argpartition(keys, m_negatives - 1, axis=1)[:, :m_negatives], True, axis=1)
     counts = mask.sum(axis=1)
 
     exp_scores = np.exp(scores) * mask

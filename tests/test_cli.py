@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import augoverlap
-from augoverlap import auggraph, cli, data, geomsim, synth
+from augoverlap import auggraph, cli, data, geomsim, metrics, synth
 from augoverlap.cli import _float_grid, _int_grid, main
 from augoverlap.data import LabelSet, ViewSet, save_embeddings, save_labels, save_views
 
@@ -127,6 +127,19 @@ class TestMetricsCommand:
         report = _read_json(tmp_path / "out" / "metrics.json")
         assert {"acr_final", "acr_init", "arc", "gacr_variants", "garc_variants"} <= set(report)
         assert "max,min,k=1" in report["gacr_variants"]
+
+    def test_one_distance_matrix_per_view_set(self, tmp_path, monkeypatch):
+        _write_inputs(tmp_path)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return data.sq_distances(*args)
+
+        monkeypatch.setattr(metrics, "sq_distances", counting)
+        argv = ["--views-final", f"{tmp_path}/f.views", "--views-init", f"{tmp_path}/i.views", "--a1", "mean"]
+        assert main(["metrics", *argv, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(12, 3), (12, 3)]
 
 
 class TestSimulateCommand:

@@ -1,5 +1,8 @@
 """File formats, dataclass invariants, normalization and the shared row kernels."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,6 +305,19 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="out of range"):
             load_labels(p)
 
+    def test_label_beyond_int64(self, tmp_path):
+        p = tmp_path / "bad.lab"
+        p.write_text("LAB v1\nn=3 k=3\n0\n99999999999999999999\n1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_labels(p)
+        assert str(exc.value) == f"{p}: line 4: label 99999999999999999999 out of range [0, 3)"
+
+    def test_malformed_header_names_file(self, tmp_path):
+        p = self._write(tmp_path, "EMB v1\nn=1\n0\n")
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(p)
+        assert str(exc.value) == f"{p}: line 2: malformed header 'n=1'"
+
     def test_label_not_integer(self, tmp_path):
         p = tmp_path / "bad.lab"
         p.write_text("LAB v1\nn=1 k=2\n1.5\n", encoding="utf-8")
@@ -316,3 +332,166 @@ class TestParseErrors:
 
     def test_parse_error_is_value_error(self):
         assert issubclass(ParseError, ValueError)
+
+
+def _per_row_matrix(lines, rows, cols, path):
+    """Reference for EMB and VIEWS rows: the per-value parser the block parse replaced."""
+    if len(lines) - 2 < rows:
+        raise ParseError(f"{path}: line {len(lines) + 1}: expected {rows} data rows, found {len(lines) - 2}")
+    if len(lines) - 2 > rows:
+        raise ParseError(f"{path}: line {rows + 3}: trailing data beyond declared {rows} rows")
+    out = np.empty((rows, cols), dtype=np.float64)
+    for r in range(rows):
+        lineno = r + 3
+        fields = lines[r + 2].split()
+        if len(fields) != cols:
+            raise ParseError(f"{path}: line {lineno}: expected {cols} values, found {len(fields)}")
+        try:
+            row = np.array([float(f) for f in fields])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        if not np.all(np.isfinite(row)):
+            raise ParseError(f"{path}: line {lineno}: non-finite value")
+        out[r] = row
+    return out
+
+
+def _per_row_labels(lines, n, k, path):
+    """Reference for LAB rows: the per-label loop, comparing as a Python int so
+    that a label beyond int64 is out of range."""
+    if len(lines) - 2 != n:
+        raise ParseError(f"{path}: line {len(lines) + 1}: expected {n} label rows, found {len(lines) - 2}")
+    labels = np.empty(n, dtype=np.int64)
+    for r in range(n):
+        lineno = r + 3
+        field = lines[r + 2].strip()
+        try:
+            label = int(field)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: expected an integer, got {field!r}") from None
+        if not 0 <= label < k:
+            raise ParseError(f"{path}: line {lineno}: label {label} out of range [0, {k})")
+        labels[r] = label
+    return labels
+
+
+def _reference_load(kind, path):
+    if kind == "lab":
+        lines, (n, k) = data._read_file(path, "LAB v1", "n k")
+        return _per_row_labels(lines, n, k, path)
+    if kind == "emb":
+        lines, (n, m) = data._read_file(path, "EMB v1", "n dim")
+        return _per_row_matrix(lines, n, m, path)
+    lines, (n, c, m) = data._read_file(path, "VIEWS v1", "n c dim")
+    return _per_row_matrix(lines, n * c, m, path)
+
+
+LOADERS = {
+    "emb": lambda p: load_embeddings(p).values,
+    "views": lambda p: load_views(p).values,
+    "lab": lambda p: load_labels(p).labels,
+}
+# tokens a mutation writes over one value: malformed, non-finite, valid in
+# spellings a writer never emits, and labels that are not integers or out of range
+TOKENS = [
+    *["abc", "1.2.3", "0x1p3", "--1", "1__0", "_1", "1_", "1e", ".", "1,5", "\u00b9", "1.5"],
+    *["nan", "inf", "-inf", "1e999", "-Infinity", "NaN"],
+    *["1_0", "+.5", "5.", "1e-400", "4.9e-324", "\u0661", "-0", "00", "1.0000000000000002"],
+    *["-1", "3", "99999999999999999999", "-99999999999999999999", "1e3"],
+]
+MUTATIONS = ["drop", "extra", "replace", "missing", "trailing", "spaces", "crlf"]
+
+
+def _mutate(lines, op, row, field, token):
+    """Apply one mutation to the data rows (lines[2:]) of a file."""
+    if len(lines) == 2:
+        return
+    r = 2 + row % (len(lines) - 2)
+    fields = lines[r].split(" ")
+    f = field % len(fields)
+    if op == "drop":
+        del fields[f]
+    elif op == "extra":
+        fields.insert(f, token)
+    elif op == "replace":
+        fields[f] = token
+    elif op == "missing":
+        del lines[r]
+        return
+    elif op == "trailing":
+        lines.append(lines[r])
+        return
+    elif op == "spaces":
+        fields[-1] += "  "
+    elif op == "crlf":
+        fields[-1] += "\r"
+    lines[r] = " ".join(fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(LOADERS)),
+    n=st.integers(1, 12),
+    c=st.integers(1, 3),
+    m=st.integers(1, 5),
+    k=st.integers(1, 4),
+    special=st.floats(allow_nan=False, allow_infinity=False),
+    block=st.sampled_from([1, 2, 5, 1 << 16]),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 40), st.integers(0, 5), st.sampled_from(TOKENS)),
+        max_size=3,
+    ),
+    crlf_file=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_block_parse_matches_per_row_reference(
+    tmp_path_factory, kind, n, c, m, k, special, block, mutations, crlf_file, seed
+):
+    """On canonical and mutated files the loaders return the per-row reference's
+    bits or raise its ParseError text; small block sizes put the first bad line in
+    a later block."""
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("parse") / f"x.{kind}"
+    if kind == "lab":
+        save_labels(LabelSet(rng.integers(0, k, size=n), k=k), path)
+    else:
+        values = rng.standard_normal((n * c, m)) * 10.0 ** rng.integers(-300, 300, size=(n * c, m))
+        values.flat[rng.integers(values.size)] = special
+        values.flat[rng.integers(values.size)] = -0.0
+        if kind == "emb":
+            save_embeddings(EmbeddingSet(values), path)
+        else:
+            save_views(ViewSet(values, n=n, c=c), path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    for mutation in mutations:
+        _mutate(lines, *mutation)
+    path.write_bytes(("\r\n" if crlf_file else "\n").join([*lines, ""]).encode("utf-8"))
+
+    try:
+        expected = _reference_load(kind, path)
+    except ParseError as exc:
+        expected = exc
+    with mock.patch.object(data, "_BLOCK_VALUES", block):
+        if isinstance(expected, ParseError):
+            with pytest.raises(ParseError) as exc:
+                LOADERS[kind](path)
+            assert str(exc.value) == str(expected)
+        else:
+            got = LOADERS[kind](path)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_loader_memory_is_bounded(tmp_path):
+    """A large EMB file loads within a small multiple of its text plus the
+    output array: tokens are converted a bounded block at a time."""
+    path = tmp_path / "big.emb"
+    save_embeddings(EmbeddingSet(np.random.default_rng(0).standard_normal((3000, 256))), path)
+    text_bytes = path.stat().st_size
+    tracemalloc.start()
+    try:
+        values = load_embeddings(path).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (values.nbytes + text_bytes), (peak, values.nbytes, text_bytes)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from augoverlap import synth
 from augoverlap.data import ViewSet, sq_distances
 from augoverlap.errors import UndefinedMetricError
-from augoverlap.metrics import STATS, MetricConfig, acr, arc, ci_ratio, gacr, garc, pearson
+from augoverlap.metrics import STATS, MetricConfig, acr, arc, ci_ratio, confusion_ratios, gacr, garc, pearson
 
 
 def _views(arr, n, c):
@@ -152,6 +152,25 @@ class TestGacr:
                 for k in sorted({1, min(2, n - 1), n - 1}):
                     cfg = MetricConfig(a1, a2, k)
                     assert gacr(v, cfg) == _gacr_loop(v, cfg), cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        c=st.integers(2, 5),
+        m=st.integers(1, 16),
+        decimals=st.sampled_from([None, 0, 1]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_confusion_ratios_match_single_calls(self, n, c, m, decimals, seed):
+        """One matrix reduced for every config gives the bits of separate calls."""
+        values = np.random.default_rng(seed).standard_normal((n * c, m))
+        if decimals is not None:
+            values = np.round(values, decimals)
+        v = ViewSet(values, n=n, c=c)
+        cfgs = [MetricConfig(a1, a2, k) for a1 in STATS for a2 in STATS for k in sorted({1, n - 1})]
+        acr_value, gacr_values = confusion_ratios(v, cfgs)
+        assert acr_value == acr(v)
+        assert gacr_values == [gacr(v, cfg) for cfg in cfgs]
 
     def test_median_statistic(self, rng):
         v = ViewSet(rng.standard_normal((12, 2)), n=3, c=4)

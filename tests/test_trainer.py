@@ -1,9 +1,12 @@
 """Manual-backprop encoder: forward/backward, the batch loss, training and evaluation."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from augoverlap.data import EmbeddingSet, LabelSet
 from augoverlap.errors import DegenerateInputError
@@ -70,6 +73,26 @@ class TestInfonceBatchLoss:
         loss, g1, g2 = infonce_batch_loss(f, f, m_negatives=2, rng=rng)
         assert math.isfinite(loss)
         assert g1.shape == f.shape and g2.shape == f.shape
+
+    def test_m_negatives_are_uniform_subsets(self):
+        """With f1 = f2 = I the gradient w.r.t. f1 is the score weights, positive
+        exactly on the kept negatives: every row keeps m distinct off-diagonal
+        columns, and each m-subset of a row's b - 1 candidates is equally likely."""
+        b, m, draws = 6, 2, 3000
+        eye = np.eye(b)
+        rng = np.random.default_rng(3)
+        counts = Counter()
+        for _ in range(draws):
+            kept = infonce_batch_loss(eye, eye, m_negatives=m, rng=rng)[1] > 0
+            assert (kept.sum(axis=1) == m).all() and not kept.diagonal().any()
+            counts.update((i, tuple(np.flatnonzero(row))) for i, row in enumerate(kept))
+        cells = [(i, s) for i in range(b) for s in itertools.combinations([j for j in range(b) if j != i], m)]
+        assert set(counts) == set(cells)
+        assert chisquare([counts[cell] for cell in cells]).pvalue > 1e-3
+
+    def test_m_negatives_must_be_positive(self, rng):
+        with pytest.raises(ValueError, match="m_negatives must be >= 1"):
+            infonce_batch_loss(np.eye(4), np.eye(4), m_negatives=0, rng=rng)
 
     def test_gradient_matches_finite_differences(self, rng):
         # the full-parameter version is acceptance criterion 10; this is a feature-level check
