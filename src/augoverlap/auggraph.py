@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabelSet, ViewSet, sq_distances
+from .data import TILE_VALUES, LabelSet, ViewSet, sq_distances
 
 INF = math.inf
 
@@ -83,9 +83,15 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
 
     n, c = views.n, views.c
     closest = np.full((n, n), INF)  # min squared view distance, filled above the diagonal
-    for i in range(n - 1):
-        others = views.stacked()[i + 1 :].transpose(1, 0, 2).reshape(-1, views.m)  # view-major
-        closest[i, i + 1 :] = sq_distances(views.views_of(i), others).reshape(c * c, n - i - 1).min(axis=0)
+    lo = 0
+    while lo < n - 1:  # a block of anchors lo..hi-1 against anchors lo+1.., about one tile of distances
+        rest = n - lo - 1
+        hi = min(lo + max(1, TILE_VALUES // (c * c * rest)), n - 1)
+        others = views.stacked()[lo + 1 :].transpose(1, 0, 2).reshape(-1, views.m)  # view-major
+        d = sq_distances(views.values[lo * c : hi * c], others).reshape(hi - lo, c * c, rest).min(axis=1)
+        for r in range(hi - lo):  # the block's upper triangle: anchor lo+r against anchors lo+r+1..
+            closest[lo + r, lo + r + 1 :] = d[r, r:]
+        lo = hi
     if metric == "euclidean":
         scores = np.sqrt(closest)
         hits = scores <= threshold

@@ -33,6 +33,7 @@ from .errors import DegenerateInputError, ParseError
 
 _FLOAT_FMT = "%.9g"
 _BLOCK_VALUES = 1 << 16  # values per parsed block: its str tokens stay at a few MB
+TILE_VALUES = 1 << 15  # values per row tile of the array kernels: a 256 KB float64 tile stays in cache
 
 
 def _checked_matrix(v: np.ndarray, name: str, normalized: bool) -> np.ndarray:
@@ -159,18 +160,51 @@ def normalize(x: EmbeddingSet | ViewSet) -> EmbeddingSet | ViewSet:
     return dataclasses.replace(x, values=x.values / norms[:, None], normalized=True)
 
 
+def row_tiles(rows: int, width: int):
+    """(lo, hi) bounds of the tiles of ``rows`` rows of ``width`` values each: at most
+    ``TILE_VALUES`` values, and at least one row, per tile."""
+    step = max(1, TILE_VALUES // max(width, 1))
+    return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x**2, axis=1)`` a row tile at a time; each row sums alone, so the bits match."""
+    out = np.empty(x.shape[0])
+    for lo, hi in row_tiles(*x.shape):
+        np.sum(np.square(x[lo:hi]), axis=1, out=out[lo:hi])
+    return out
+
+
 def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Squared euclidean distances between the rows of ``a`` and ``b`` (default ``a``).
+
     Width <= 3 sums one coordinate at a time, so a pair's bits do not depend on the
     call shape; wider rows use the BLAS expansion |a|^2 + |b|^2 - 2 a.b clipped at 0.
-    The square form is exactly symmetric for every width."""
+    The square form is exactly symmetric for every width. Beyond the result, the
+    work runs in place one row tile at a time (``TILE_VALUES`` values), so the only
+    temporaries are one tile buffer and the row norms. The bits are those of the
+    one-shot expressions, since t - 2g == t + (-2g) and 0.0 + s == s for the
+    first column's square s."""
     b = a if b is None else b
-    if a.shape[1] > 3:  # a @ a.T runs as one symmetric product
-        return np.maximum(np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * (a @ b.T), 0.0)
-    out = np.zeros((a.shape[0], b.shape[0]))
-    diff = np.empty_like(out)
-    for k in range(a.shape[1]):
-        out += np.square(np.subtract(a[:, k, None], b[None, :, k], out=diff), out=diff)
+    narrow = 0 < a.shape[1] <= 3  # zero-width rows take the product, which is all zeros
+    out = np.empty((a.shape[0], b.shape[0])) if narrow else a @ b.T  # a @ a.T runs as one symmetric product
+    tiles = list(row_tiles(*out.shape))
+    buf = np.empty((tiles[0][1] if tiles else 0, out.shape[1]))
+    if not narrow:
+        sa = _sq_norms(a)
+        sb = sa if b is a else _sq_norms(b)
+        for lo, hi in tiles:
+            o, t = out[lo:hi], buf[: hi - lo]
+            np.add(sa[lo:hi, None], sb[None, :], out=t)
+            o *= -2.0
+            o += t
+            np.maximum(o, 0.0, out=o)
+        return out
+    for lo, hi in tiles:
+        o, t = out[lo:hi], buf[: hi - lo]
+        np.square(np.subtract(a[lo:hi, 0, None], b[None, :, 0], out=o), out=o)
+        for k in range(1, a.shape[1]):
+            o += np.square(np.subtract(a[lo:hi, k, None], b[None, :, k], out=t), out=t)
     return out
 
 

@@ -189,7 +189,8 @@ def longest_mst_edge(points: np.ndarray) -> float:
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"longest_mst_edge needs at least 2 points, got n={n}")
-    return _prim(np.sqrt(sq_distances(points)))
+    dist = sq_distances(points)
+    return _prim(np.sqrt(dist, out=dist))
 
 
 def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:
@@ -208,7 +209,8 @@ def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:
     nn_means, far_means, mins, maxes, r_mcs = [], [], [], [], []
     for _ in range(trials):
         pts = _sample_points(cfg, rng)
-        dist = np.sqrt(sq_distances(pts))
+        dist = sq_distances(pts)
+        np.sqrt(dist, out=dist)
         np.fill_diagonal(dist, INF)
         nn = dist.min(axis=1)
         np.fill_diagonal(dist, -INF)

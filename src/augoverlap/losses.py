@@ -7,12 +7,11 @@ is fixed at 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, LabelSet, PositivePairs, class_means
+from .data import EmbeddingSet, LabelSet, PositivePairs, class_means, row_tiles
 
 # Exact enumeration of the negative draw replaces Monte Carlo whenever the
 # outcome space pool_size**M is at most this many tuples.
@@ -98,12 +97,20 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
 
     pos_term = -float(np.mean(np.sum(pairs.left.values * pairs.right.values, axis=1)))
 
-    if pool_size**m_negatives <= ENUMERATION_LIMIT:
-        # Exact expectation over all pool_size**M equiprobable draws.
+    count = pool_size**m_negatives
+    if count <= ENUMERATION_LIMIT:
+        # Exact expectation over all equiprobable draws, k combinations at a time in
+        # itertools.product order. The draws are gathered (n, k, M), reading each score
+        # row once per chunk; the log-mean-exp over M and, after a transpose to (k, n),
+        # the mean over anchors both reduce a contiguous last axis, and the k means are
+        # added one by one: the bits of a loop over the combinations.
         total = 0.0
-        for combo in itertools.product(range(pool_size), repeat=m_negatives):
-            total += float(np.mean(_log_mean_exp(scores[:, combo], axis=1)))
-        neg_term = total / pool_size**m_negatives
+        for lo, hi in row_tiles(count, pairs.n * m_negatives):
+            combos = np.stack(np.unravel_index(np.arange(lo, hi), (pool_size,) * m_negatives), axis=-1)
+            per_anchor = np.ascontiguousarray(_log_mean_exp(scores[:, combos]).T)  # (k, n)
+            for value in np.mean(per_anchor, axis=-1).tolist():
+                total += value
+        neg_term = total / count
     else:
         neg_term = _mc_log_mean_exp(scores, m_negatives, trials, seed)
 

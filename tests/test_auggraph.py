@@ -23,7 +23,7 @@ from augoverlap.auggraph import (
     is_bipartite,
     subgraph_diameter,
 )
-from augoverlap.data import LabelSet, ViewSet, normalize
+from augoverlap.data import TILE_VALUES, LabelSet, ViewSet, normalize, sq_distances
 
 
 def _graph_from_edges(n, edges):
@@ -69,6 +69,30 @@ class TestBuildGraph:
         assert (g.scores[lower] == np.inf).all() and (gc.scores[lower] == -np.inf).all()
         assert g.edges == {(i, j) for i, j in zip(*upper) if g.scores[i, j] <= 1.0}
         assert gc.edges == {(i, j) for i, j in zip(*upper) if gc.scores[i, j] >= 0.5}
+
+    @pytest.mark.parametrize("m, decimals", [(2, None), (3, 1)])
+    def test_anchor_blocks_match_per_anchor_loop(self, m, decimals):
+        """Blocks of one anchor (at the start) and of several (towards the end)
+        give the bits of one kernel call per anchor row, with rounded ties and
+        duplicate anchors, for both metrics."""
+        n, c = 600, 8
+        assert c * c * (n - 1) > TILE_VALUES > c * c * 100  # blocks of 1 anchor, then of more
+        v = np.random.default_rng(m).standard_normal((n * c, m))
+        if decimals is not None:
+            v = np.round(v, decimals) + 1.0
+        v[-3 * c :] = v[: 3 * c]  # the last three anchors repeat the first three
+        views = normalize(ViewSet(v, n=n, c=c))
+        closest = np.full((n, n), np.inf)
+        for i in range(n - 1):
+            others = views.stacked()[i + 1 :].transpose(1, 0, 2).reshape(-1, m)
+            closest[i, i + 1 :] = sq_distances(views.views_of(i), others).reshape(c * c, n - i - 1).min(axis=0)
+        upper = np.triu_indices(n, 1)
+        for metric, threshold, scores in (("euclidean", 0.05, np.sqrt(closest)), ("cosine", 0.999, 1.0 - closest / 2.0)):
+            g = build_graph(views, threshold, metric)
+            assert g.scores.tobytes() == scores.tobytes()
+            hits = scores[upper] <= threshold if metric == "euclidean" else scores[upper] >= threshold
+            assert g.edges == {(i, j) for i, j, hit in zip(*upper, hits) if hit}
+            assert g.edges  # the duplicates at least
 
     def test_cosine_requires_normalized(self):
         views = ViewSet(np.array([[2.0, 0.0], [0.0, 2.0]]), n=2, c=1)

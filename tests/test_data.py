@@ -196,6 +196,58 @@ def test_sq_distances_square_form_is_symmetric(rows, dim, log_scale, decimals, s
     assert np.array_equal(d2, d2.T)
 
 
+def _one_shot_sq_distances(a, b=None):
+    """The kernel as one expression over the whole result, before row tiles."""
+    b = a if b is None else b
+    if a.shape[1] > 3:
+        return np.maximum(np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * (a @ b.T), 0.0)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(out)
+    for k in range(a.shape[1]):
+        out += np.square(np.subtract(a[:, k, None], b[None, :, k], out=diff), out=diff)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3, 4, 5, 64, 300]),
+    square=st.booleans(),
+    log_scale=st.floats(-3.0, 3.0),
+    decimals=st.sampled_from([None, 0, 1]),
+    seed=st.integers(0, 2**31),
+)
+def test_sq_distances_row_tiles_match_one_shot(dim, square, log_scale, decimals, seed):
+    """Across row-tile boundaries the tiled kernel gives the one-shot bits, for
+    both paths, both forms, rounded ties and duplicate rows."""
+    rng = np.random.default_rng(seed)
+    rows_a, rows_b = (400, 400) if square else (100, 1000)
+    assert -(-rows_a // (data.TILE_VALUES // rows_b)) >= 3  # the call spans at least 3 row tiles
+    a = rng.standard_normal((rows_a, dim))
+    b = rng.standard_normal((rows_b, dim))
+    if decimals is not None:
+        a, b = np.round(a, decimals), np.round(b, decimals)
+    a[rows_a // 2 :][:40] = a[:40]  # duplicate rows within a, in other tiles
+    b[:40] = a[:40]
+    a, b = a * 10.0**log_scale, b * 10.0**log_scale
+    args = (a,) if square else (a, b)
+    assert sq_distances(*args).tobytes() == _one_shot_sq_distances(*args).tobytes()
+
+
+@pytest.mark.parametrize("rows, dim", [(2000, 3), (1000, 256)])
+def test_sq_distances_memory_is_one_tile_beyond_the_result(rows, dim):
+    """Beyond its result the kernel holds at most two tiles (the tile buffer and
+    one tile of squared coordinates for the row norms) and O(rows) values; the
+    one-shot expression held a second full-size array."""
+    a = np.random.default_rng(0).standard_normal((rows, dim))
+    tracemalloc.start()
+    try:
+        d2 = sq_distances(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= d2.nbytes + 2 * 8 * data.TILE_VALUES + 32 * rows, (peak, d2.nbytes)
+
+
 def test_writer_matches_per_value_format(tmp_path):
     values = np.array(
         [

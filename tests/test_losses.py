@@ -1,9 +1,12 @@
 """Adjusted InfoNCE / mean-CE losses and their supporting statistics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from augoverlap import losses, synth
 from augoverlap.data import EmbeddingSet, LabelSet, PositivePairs, normalize
@@ -54,6 +57,32 @@ class TestInfonceAdjusted:
         exact = infonce_adjusted(pairs, m_negatives=2).value  # 6**2 = 36 <= limit, enumerated
         mc = infonce_adjusted(pairs, m_negatives=2, trials=4000, seed=1).value
         assert mc == pytest.approx(exact, abs=0.01)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        m_negatives=st.integers(1, 6),
+        dim=st.integers(1, 8),
+        decimals=st.sampled_from([None, 1]),
+        seed=st.integers(0, 2**31),
+    )
+    @example(n=2000, m_negatives=1, dim=8, decimals=None, seed=0)  # a pool of 4000 in 250 chunks
+    def test_enumeration_matches_loop_reference(self, n, m_negatives, dim, decimals, seed):
+        """The chunked exact branch gives the bits of one loop iteration per
+        combination, summed in itertools.product order."""
+        while (2 * n) ** m_negatives > losses.ENUMERATION_LIMIT:
+            n -= 1
+        pool_size = 2 * n
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((2, n, dim)) + 0.05
+        if decimals is not None:
+            raw = np.round(raw, decimals) + 0.05  # ties, and no zero rows
+        pairs = PositivePairs(normalize(EmbeddingSet(raw[0])), normalize(EmbeddingSet(raw[1])))
+        scores = pairs.left.values @ np.vstack([pairs.left.values, pairs.right.values]).T
+        total = 0.0
+        for combo in itertools.product(range(pool_size), repeat=m_negatives):
+            total += float(np.mean(np.log(np.mean(np.exp(scores[:, combo]), axis=1))))
+        assert infonce_adjusted(pairs, m_negatives).components[1] == total / pool_size**m_negatives
 
     def test_monte_carlo_seeded(self):
         pairs = synth.ci_pairs(100, 2, 8, seed=0)
