@@ -41,8 +41,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.hidden_size, self.out_dim) < 1:
-            raise ValueError("epochs, batch_size, hidden_size and out_dim must be >= 1")
+        if min(self.epochs, self.hidden_size, self.out_dim) < 1:
+            raise ValueError("epochs, hidden_size and out_dim must be >= 1")
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}")
         if self.learning_rate < 0 or self.noise_r < 0:
             raise ValueError("learning_rate and noise_r must be >= 0")
 
@@ -133,6 +135,8 @@ def train_contrastive(data: EmbeddingSet, cfg: TrainConfig) -> TrainResult:
     """Minibatch SGD on the adjusted in-batch InfoNCE with fresh augmentation
     noise each step. Returns the final parameters, the epoch-1 checkpoint and
     the per-epoch mean loss trace."""
+    if data.n < 2:
+        raise ValueError(f"need at least 2 training rows for in-batch negatives, got n={data.n}")
     rng = np.random.default_rng(cfg.seed)
     params = init_params(data.m, cfg.hidden_size, cfg.out_dim, seed=cfg.seed)
     n = data.n

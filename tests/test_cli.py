@@ -189,6 +189,13 @@ class TestTrainCommand:
         np.testing.assert_allclose(np.linalg.norm(emb.values, axis=1), 1.0, atol=1e-6)
 
 
+    def test_batch_size_one_is_runtime_error(self, tmp_path, capsys):
+        argv = [*TINY_TRAIN, "--batch-size", "1", "--out", str(tmp_path)]
+        assert main(["train", *argv]) == 1
+        assert "error: batch_size must be >= 2 for in-batch negatives, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "train.json").exists()
+
+
 class TestCiRatioCommand:
     def test_outputs(self, tmp_path):
         pairs = synth.ci_pairs(120, 3, 8, seed=0)

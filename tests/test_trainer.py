@@ -36,6 +36,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(noise_r=-1.0)
 
+    @pytest.mark.parametrize("batch_size", [1, 0, -4])
+    def test_batch_size_below_two(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be >= 2 for in-batch negatives, got {batch_size}"):
+            TrainConfig(batch_size=batch_size)
+
 
 class TestForward:
     def test_unit_norm_outputs(self, rng):
@@ -157,6 +162,18 @@ class TestTrainContrastive:
         result = train_contrastive(emb, cfg)
         assert result.params_epoch1 is not None
         assert not np.array_equal(result.params_epoch1.w1, result.params.w1)
+
+    def test_one_row_is_refused(self):
+        """One row has no in-batch negative: training refuses it instead of
+        returning the untrained encoder with a nan loss trace."""
+        emb = EmbeddingSet(np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="need at least 2 training rows for in-batch negatives, got n=1"):
+            train_contrastive(emb, TrainConfig(epochs=2, batch_size=2, hidden_size=4, out_dim=2))
+
+    def test_two_rows_train(self):
+        emb = EmbeddingSet(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        result = train_contrastive(emb, TrainConfig(epochs=2, batch_size=2, hidden_size=4, out_dim=2))
+        assert all(math.isfinite(v) for v in result.loss_trace)
 
     def test_learns_separable_task(self, two_cap_data):
         emb, lab = two_cap_data
