@@ -11,6 +11,16 @@ File formats (UTF-8, LF line endings):
 Floats are serialized with 9 significant digits, so canonical files round-trip
 byte-identically. Loaders never normalize; call :func:`normalize` explicitly.
 
+Writers produce the bytes of ``"%.9g" % v`` for every value, and build the file
+as ASCII bytes a block of whole rows at a time (at most ``_FORMAT_VALUES``
+values, so the temporaries stay near 2 MB). A finite value printed in
+fixed notation takes the fast path: its 9-digit significand is ``rint(|v| *
+10**k)`` for the k that puts it in [1e8, 1e9), and its text is looked up as
+words of ASCII bytes (sign and ``0.`` prefix, then three 3-digit groups with the
+point and the stripped trailing zeros) whose null padding is deleted. Zeros,
+subnormals, values printed in scientific notation (below 1e-4 or from 1e9 once
+rounded) and values within 2**-20 of a rounding tie fall back to ``%``.
+
 Loaders convert the data rows a block at a time (at most ``_BLOCK_VALUES``
 values, so the temporary str tokens stay at a few MB): one ``np.array`` call
 over the block's split lines, accepted when it has the declared shape and every
@@ -31,8 +41,9 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParseError
 
-_FLOAT_FMT = "%.9g"
+_FLOAT_FMT = b"%.9g"
 _BLOCK_VALUES = 1 << 16  # values per parsed block: its str tokens stay at a few MB
+_FORMAT_VALUES = 1 << 14  # values per formatted block: about 130 bytes of temporaries per value
 TILE_VALUES = 1 << 15  # values per row tile of the array kernels: a 256 KB float64 tile stays in cache
 
 
@@ -323,21 +334,142 @@ def load_pairs(path_left, path_right, labels_left=None, labels_right=None) -> Po
 # writers
 
 
-def _format_matrix(values: np.ndarray) -> str:
-    row_fmt = " ".join([_FLOAT_FMT] * values.shape[1])
-    return "\n".join(row_fmt % tuple(row.tolist()) for row in values)
+def _group_words() -> np.ndarray:
+    """The ASCII text of a 3-digit group of a significand, as a uint32 word padded
+    with null bytes, at index ``(offset * 2 + strip) * 1000 + group``. ``offset`` is
+    the number of the group's digits before the decimal point, capped to [0, 4]:
+    0 puts the whole group after the point, 1-3 insert the point after that digit
+    and 4 puts the whole group before it. ``strip`` (every later group is zero)
+    drops the trailing zeros after the point, and the point when nothing follows it."""
+    g = np.arange(1000)
+    digits = (np.stack([g // 100, g // 10 % 10, g % 10], axis=1) + ord("0")).astype(np.uint8)
+    zero_tail = np.flip(np.cumprod(np.flip(digits == ord("0"), 1), 1), 1).astype(bool)
+    words = np.zeros((5, 2, 1000, 4), np.uint8)
+    for offset in range(5):
+        for strip in (0, 1):
+            w = words[offset, strip]
+            if offset in (0, 4):
+                w[:, :3] = digits
+                if strip and offset == 0:
+                    w[:, :3][zero_tail] = 0
+                continue
+            w[:, :offset] = digits[:, :offset]
+            w[:, offset] = ord(".")
+            w[:, offset + 1 :] = digits[:, offset:]
+            if strip:
+                w[:, offset + 1 :][zero_tail[:, offset:]] = 0
+                w[zero_tail[:, offset] if offset < 3 else slice(None), offset] = 0
+    return words.view(np.uint32).reshape(-1)
+
+
+def _head_words() -> tuple[np.ndarray, np.ndarray]:
+    """The text before a value's significand (separator, sign, ``0.`` and the zeros
+    after the point) as two uint32 words, at index ``neg * 10 + newline * 5 + zeros``
+    with ``zeros`` = 0 for no ``0.`` prefix and 1-4 for ``0.`` plus zeros - 1 zeros."""
+    heads = np.zeros((2, 2, 5, 8), np.uint8)
+    for neg in (0, 1):
+        for newline in (0, 1):
+            for zeros in range(5):
+                text = (b"\n" if newline else b" ") + (b"-" if neg else b"")
+                text += b"0." + b"0" * (zeros - 1) if zeros else b""
+                heads[neg, newline, zeros, : len(text)] = list(text)
+    words = heads.reshape(-1, 2, 4).view(np.uint32)[..., 0]
+    return words[:, 0].copy(), words[:, 1].copy()
+
+
+def _scale_tables() -> tuple[np.ndarray, np.ndarray]:
+    """By biased binary exponent: the k that puts a value of that octave below the
+    threshold into [1e8, 1e9) when scaled by 10**k, and the threshold (the octave's
+    power of ten, if any), above which k is one less. k stays in [0, 14]."""
+    f = np.floor((np.arange(2048) - 1023) * np.log10(2.0))
+    k = np.clip(8 - f, 0, 14).astype(np.intp)
+    return k, np.where(k > 0, 10.0 ** np.clip(f + 1, -20, 20), np.inf)
+
+
+_GROUP_WORDS = _group_words()
+_HEAD_WORDS = _head_words()
+_SCALE_K, _SCALE_STEP = _scale_tables()
+_POW10 = np.array([float(10**k) for k in range(15)])  # exact
+# indexed by d = 3 + the number of significand digits before the decimal point,
+# which fixed notation keeps in [-3, 9] (negative: zeros after the point): the base
+# in _GROUP_WORDS of each group's offset (the last group always strips) and the
+# head's ``zeros``
+_GROUP_BASE = [(np.clip(np.arange(13) - 3 - 3 * i, 0, 4) * 2000 + 1000 * (i == 2)).astype(float) for i in range(3)]
+_HEAD_ZEROS = np.clip(4 - np.arange(13), 0, 4)
+
+
+def _fill_records(x: np.ndarray, newline: np.ndarray, rec: np.ndarray) -> None:
+    """Write into the (x.size, 5) uint32 array ``rec`` the values ``x`` as ``%.9g``
+    text padded with null bytes, each preceded by a space or, where ``newline`` is 5,
+    a newline.
+
+    A finite v != 0 whose text is fixed notation takes the table path: with k from
+    the binary exponent, y = |v| * 10**k lies in [1e8, 1e9) and is within 2**-24 of
+    the exact product, so away from a half-way case rint(y) is the 9-digit
+    significand D that Python's correctly rounded formatting gives. Each value gets
+    a 20-byte record (two head words and a word per 3-digit group of D) whose null
+    bytes are deleted. Zeros, subnormals, scientific notation and near-ties are
+    formatted by ``%`` into their record instead."""
+    a = np.abs(x)
+    exp = a.view(np.int64) >> 52
+    k = _SCALE_K[exp]
+    k -= a >= _SCALE_STEP[exp]
+    y = a * _POW10[k]
+    sig = np.rint(y)
+    carry = sig == 1e9  # rounds up to 1e8 with the point one place later
+    d = 12 - k + carry
+    fast = (y >= 1e8) & (y < 1e9) & (np.abs(y - sig) < 0.5 - 2.0**-20) & (d >= 0) & (d <= 12)
+    slow = np.flatnonzero(~fast)
+    sig[carry] = 1e8
+    sig[slow] = 1e8  # any in-range index; the record is overwritten below
+    d[slow] = 0
+    g0 = np.floor(sig / 1e6)
+    rest = sig - g0 * 1e6
+    g1 = np.floor(rest / 1e3)
+    g2 = rest - g1 * 1e3
+    rec[:, 2] = _GROUP_WORDS[(g0 + (rest == 0) * 1000.0 + _GROUP_BASE[0][d]).astype(np.intp)]
+    rec[:, 3] = _GROUP_WORDS[(g1 + (g2 == 0) * 1000.0 + _GROUP_BASE[1][d]).astype(np.intp)]
+    rec[:, 4] = _GROUP_WORDS[(g2 + _GROUP_BASE[2][d]).astype(np.intp)]
+    head = newline + _HEAD_ZEROS[d] + np.signbit(x) * 10
+    rec[:, 0] = _HEAD_WORDS[0][head]
+    rec[:, 1] = _HEAD_WORDS[1][head]
+    if slow.size:  # at most 16 bytes of text after the separator
+        text = b"".join([(_FLOAT_FMT % v).ljust(19, b"\0") for v in x[slow].tolist()])
+        rec.view(np.uint8).reshape(-1, 20)[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, 19)
+
+
+def _format_matrix(header: str, values: np.ndarray) -> bytearray:
+    """The file text: ``header`` (without its final newline), then each row of
+    ``values`` on its own line as space-separated ``%.9g`` values, the bytes of
+    ``"\\n".join(" ".join("%.9g" % v for v in row) for row in values)``. Rows are
+    formatted a block of at most ``_FORMAT_VALUES`` values (at least one row) at a time."""
+    rows, cols = values.shape
+    out = bytearray(header.encode("ascii"))
+    if cols == 0:
+        out += b"\n" * (rows + 1)
+        return out
+    step = max(1, _FORMAT_VALUES // cols)
+    newline = np.zeros((min(step, rows), cols), np.intp)
+    newline[:, 0] = 5
+    newline = newline.reshape(-1)
+    buf = bytearray(20 * newline.size)  # the records, reused by every block
+    rec = np.frombuffer(buf, np.uint32).reshape(-1, 5)
+    for lo in range(0, rows, step):
+        block = values[lo : lo + step].reshape(-1)
+        _fill_records(block, newline[: block.size], rec[: block.size])
+        out += (buf if block.size == newline.size else buf[: 20 * block.size]).translate(None, b"\0")
+    out += b"\n"
+    return out
 
 
 def save_embeddings(e: EmbeddingSet, path) -> None:
-    body = f"EMB v1\nn={e.n} dim={e.m}\n{_format_matrix(e.values)}\n"
-    Path(path).write_text(body, encoding="utf-8", newline="\n")
+    Path(path).write_bytes(_format_matrix(f"EMB v1\nn={e.n} dim={e.m}", e.values))
 
 
 def save_views(v: ViewSet, path) -> None:
-    body = f"VIEWS v1\nn={v.n} c={v.c} dim={v.m}\n{_format_matrix(v.values)}\n"
-    Path(path).write_text(body, encoding="utf-8", newline="\n")
+    Path(path).write_bytes(_format_matrix(f"VIEWS v1\nn={v.n} c={v.c} dim={v.m}", v.values))
 
 
 def save_labels(lab: LabelSet, path) -> None:
-    body = f"LAB v1\nn={lab.n} k={lab.k}\n" + "\n".join(str(x) for x in lab.labels) + "\n"
+    body = f"LAB v1\nn={lab.n} k={lab.k}\n" + "\n".join(map(str, lab.labels.tolist())) + "\n"
     Path(path).write_text(body, encoding="utf-8", newline="\n")

@@ -1,11 +1,12 @@
 """File formats, dataclass invariants, normalization and the shared row kernels."""
 
+import sys
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -260,6 +261,71 @@ def test_writer_matches_per_value_format(tmp_path):
     text = (tmp_path / "e.emb").read_text(encoding="utf-8")
     assert text == f"EMB v1\nn=2 dim=5\n{body}\n"
     assert text.split("\n")[2].split() == ["-0", "0", "1e-300", "4.94065646e-324", "-4.94065646e-324"]
+
+
+def _per_value_text(values):
+    """Reference for the EMB and VIEWS data rows: one ``%`` call per value."""
+    return "\n".join(" ".join("%.9g" % v for v in row) for row in values)
+
+
+_FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
+_SIGNIFICANDS = st.integers(10**8, 10**9 - 1)
+_ELEMENTS = st.one_of(
+    _FINITE_BITS.map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda d, j, s: s * d / 10.0**j, _SIGNIFICANDS, st.integers(-2, 14), st.sampled_from([1, -1])),
+    # the double nearest a decimal tie at the 9th digit
+    st.builds(lambda d, j, s: s * (10 * d + 5) / 10.0**j, _SIGNIFICANDS, st.integers(-1, 15), st.sampled_from([1, -1])),
+)
+
+
+@st.composite
+def _writer_inputs(draw):
+    c = draw(st.sampled_from([None, 1, 3]))  # None writes EMB, else VIEWS with c views
+    rows = draw(st.integers(1, 6)) * (c or 1)
+    cols = draw(st.integers(1 if c is None else 0, 6))
+    values = np.array(draw(st.lists(_ELEMENTS, min_size=rows * cols, max_size=rows * cols)), dtype=np.float64)
+    return values.reshape(rows, cols), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_writer_inputs(), block=st.sampled_from([1, 2, 5, 1 << 14]))
+@example(inputs=(np.array([[123456789.5, 12345678.25, 1234567.125, 0.0001220703125, -98765432.5]]), None), block=1 << 14)
+@example(inputs=(np.array([[9.9999999995, 999999999.5, 999999999.75, 0.000099999999995, -99999.99999999]]), None), block=1 << 14)
+@example(inputs=(np.array([[-0.0, 0.0, 5e-324, -2.225073858507201e-308, 2.2250738585072014e-308]]), None), block=1 << 14)
+@example(inputs=(np.array([[1.0 / 3.0]]), None), block=1 << 14)
+@example(inputs=(np.zeros((6, 0)), 2), block=1 << 14)
+# one row past the first block
+@example(inputs=(np.random.default_rng(0).standard_normal(((1 << 14) // 256 + 1, 256)), None), block=1 << 14)
+def test_writers_match_per_value_reference(tmp_path_factory, inputs, block):
+    """save_embeddings and save_views write the bytes of one ``%.9g`` per value
+    (ties at the 9th digit, carries into a new digit, signed zeros, subnormals,
+    scientific notation) for any block size, including zero-column views."""
+    values, c = inputs
+    path = tmp_path_factory.mktemp("write") / "x.txt"
+    with mock.patch.object(data, "_FORMAT_VALUES", block):
+        if c is None:
+            save_embeddings(EmbeddingSet(values), path)
+            header = f"EMB v1\nn={values.shape[0]} dim={values.shape[1]}"
+        else:
+            save_views(ViewSet(values, n=values.shape[0] // c, c=c), path)
+            header = f"VIEWS v1\nn={values.shape[0] // c} c={c} dim={values.shape[1]}"
+    assert path.read_bytes() == f"{header}\n{_per_value_text(values)}\n".encode("ascii")
+
+
+def test_writer_memory_is_one_block_beyond_the_output():
+    """Beyond its output the formatter holds one block's temporaries (the 20-byte
+    records, the block's text and about a dozen 8-byte arrays per value), not a
+    temporary per value of the whole matrix."""
+    values = np.random.default_rng(0).standard_normal((2000, 256))
+    tracemalloc.start()
+    try:
+        out = data._format_matrix("EMB v1\nn=2000 dim=256", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sys.getsizeof(out) + 200 * data._FORMAT_VALUES, (peak, sys.getsizeof(out))
+
 
 class TestRoundTrip:
     def test_embeddings(self, tmp_path, rng):

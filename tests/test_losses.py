@@ -57,7 +57,9 @@ class TestInfonceAdjusted:
         right = normalize(EmbeddingSet(rng.standard_normal((3, 4))))
         pairs = PositivePairs(left, right)
         exact = infonce_adjusted(pairs, m_negatives=2).value  # 6**2 = 36 <= limit, enumerated
-        mc = infonce_adjusted(pairs, m_negatives=2, trials=4000, seed=1).value
+        with mock.patch.object(losses, "ENUMERATION_LIMIT", 0):
+            mc = infonce_adjusted(pairs, m_negatives=2, trials=4000, seed=1).value
+        assert mc != exact  # the Monte Carlo branch ran
         assert mc == pytest.approx(exact, abs=0.01)
 
     @settings(max_examples=60, deadline=None)
