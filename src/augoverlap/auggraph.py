@@ -16,6 +16,7 @@ level-synchronous BFS, and per-class spectra by ``numpy.linalg.eigh``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +39,8 @@ class AugGraph:
         """Dense boolean adjacency, n x n, symmetric with an empty diagonal."""
         adj = np.zeros((self.n, self.n), dtype=bool)
         if self.edges:
-            i, j = np.array(list(self.edges)).T
+            flat = np.fromiter(itertools.chain.from_iterable(self.edges), np.intp, count=2 * len(self.edges))
+            i, j = flat.reshape(-1, 2).T
             adj[i, j] = adj[j, i] = True
         return adj
 

@@ -373,6 +373,30 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The trainer's products, and so every file of a training run, have the
+    same bytes under one and two BLAS threads."""
+    src = Path(augoverlap.__file__).resolve().parents[1]
+    argv = ["train", "--n-train", "600", "--n-test", "200", "--epochs", "3", "--m-negatives", "16", "--dump-emb", "emb"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "augoverlap.cli", *argv, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "emb_train.emb" in names and "emb_test.emb" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as exc:

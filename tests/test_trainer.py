@@ -2,20 +2,25 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from augoverlap.data import EmbeddingSet, LabelSet
+from augoverlap.data import TILE_VALUES, EmbeddingSet, LabelSet
 from augoverlap.errors import DegenerateInputError
 from augoverlap.geomsim import GeomConfig, sample_caps
 from augoverlap.trainer import (
     EncoderParams,
     TrainConfig,
+    _negative_mask,
     backward,
     counterexample_prop53,
+    encode_array,
     forward,
     infonce_batch_loss,
     init_params,
@@ -25,6 +30,94 @@ from augoverlap.trainer import (
 )
 
 NORTH_SOUTH = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+
+
+# The allocating one-shot encoder pass: the reference whose bits the buffered
+# trainer must reproduce.
+
+
+def _reference_forward(params, x):
+    h = x @ params.w1 + params.b1
+    a = np.tanh(h)
+    z = a @ params.w2 + params.b2
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    f = z / norms
+    return f, (x, a, z, norms, f)
+
+
+def _reference_backward(params, cache, grad_f):
+    x, a, z, norms, f = cache
+    inner = np.sum(f * grad_f, axis=1, keepdims=True)
+    dz = (grad_f - f * inner) / norms
+    dw2 = a.T @ dz
+    db2 = dz.sum(axis=0)
+    da = dz @ params.w2.T
+    dh = da * (1.0 - a**2)
+    dw1 = x.T @ dh
+    db1 = dh.sum(axis=0)
+    return dw1, db1, dw2, db2
+
+
+def _reference_mask(keys, m_negatives):
+    mask = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(mask, np.argpartition(keys, m_negatives - 1, axis=1)[:, :m_negatives], True, axis=1)
+    return mask
+
+
+def _reference_infonce_batch_loss(f1, f2, m_negatives=None, rng=None):
+    b = f1.shape[0]
+    scores = f1 @ f2.T
+    mask = ~np.eye(b, dtype=bool)
+    if m_negatives is not None and m_negatives < b - 1:
+        keys = rng.random((b, b))
+        np.fill_diagonal(keys, np.inf)
+        mask = _reference_mask(keys, m_negatives)
+    counts = mask.sum(axis=1)
+    exp_scores = np.exp(scores) * mask
+    row_sums = exp_scores.sum(axis=1)
+    loss = float(np.mean(-np.diag(scores) + np.log(row_sums / counts)))
+    d_scores = exp_scores / row_sums[:, None] / b
+    d_scores[np.arange(b), np.arange(b)] = -1.0 / b
+    return loss, d_scores @ f2, d_scores.T @ f1
+
+
+def _reference_train_contrastive(data, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(data.m, cfg.hidden_size, cfg.out_dim, seed=cfg.seed)
+    trace = []
+    params_epoch1 = None
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(data.n)
+        losses = []
+        for start in range(0, data.n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            if idx.size < 2:
+                continue
+            anchors = data.values[idx]
+            v1 = anchors + cfg.noise_r * rng.random((idx.size, data.m))
+            v2 = anchors + cfg.noise_r * rng.random((idx.size, data.m))
+            f1, cache1 = _reference_forward(params, v1)
+            f2, cache2 = _reference_forward(params, v2)
+            loss, g1, g2 = _reference_infonce_batch_loss(f1, f2, cfg.m_negatives, rng)
+            dw1a, db1a, dw2a, db2a = _reference_backward(params, cache1, g1)
+            dw1b, db1b, dw2b, db2b = _reference_backward(params, cache2, g2)
+            lr = cfg.learning_rate
+            params = EncoderParams(
+                params.w1 - lr * (dw1a + dw1b),
+                params.b1 - lr * (db1a + db1b),
+                params.w2 - lr * (dw2a + dw2b),
+                params.b2 - lr * (db2a + db2b),
+            )
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+        if epoch == 0:
+            params_epoch1 = params.copy()
+    return params, params_epoch1, trace
+
+
+def _assert_params_equal(a, b):
+    for name in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
 class TestTrainConfig:
@@ -133,6 +226,140 @@ class TestBackward:
         grads = backward(params, cache, f.copy())
         for g in grads:
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
+
+
+class TestMatchesReference:
+    """The buffered pass has the bits of the allocating reference above."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 600),
+        batch_size=st.integers(2, 300),
+        m_negatives=st.sampled_from([None, 1, 3, 16, 300]),
+        epochs=st.integers(1, 2),
+        hidden=st.sampled_from([3, 16, 128]),
+        out_dim=st.sampled_from([2, 7, 256]),
+        seed=st.integers(0, 2**31),
+    )
+    @example(n=257, batch_size=256, m_negatives=16, epochs=2, hidden=128, out_dim=256, seed=0)  # 1-row last batch
+    @example(n=150, batch_size=300, m_negatives=None, epochs=2, hidden=128, out_dim=256, seed=1)  # batch > n
+    @example(n=600, batch_size=256, m_negatives=16, epochs=1, hidden=128, out_dim=256, seed=2)  # 88-row last batch
+    def test_train_contrastive(self, n, batch_size, m_negatives, epochs, hidden, out_dim, seed):
+        x = np.random.default_rng(seed).standard_normal((n, 3))
+        emb = EmbeddingSet(x / np.linalg.norm(x, axis=1, keepdims=True))
+        cfg = TrainConfig(
+            epochs=epochs,
+            batch_size=batch_size,
+            m_negatives=m_negatives,
+            hidden_size=hidden,
+            out_dim=out_dim,
+            seed=seed,
+        )
+        result = train_contrastive(emb, cfg)
+        params, params_epoch1, trace = _reference_train_contrastive(emb, cfg)
+        assert result.loss_trace == trace
+        _assert_params_equal(result.params, params)
+        _assert_params_equal(result.params_epoch1, params_epoch1)
+        encoded, _ = _reference_forward(params, emb.values)
+        np.testing.assert_array_equal(encode_array(result.params, emb.values), encoded)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.integers(2, 300),
+        m_in=st.integers(1, 5),
+        hidden=st.sampled_from([3, 16, 128]),
+        out_dim=st.sampled_from([2, 7, 256]),
+        m_negatives=st.sampled_from([None, 1, 3, 16, 300]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_forward_backward_and_loss(self, b, m_in, hidden, out_dim, m_negatives, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(m_in, hidden, out_dim, seed=seed)
+        v1, v2 = rng.standard_normal((2, b, m_in))
+        f1, cache1 = forward(params, v1)
+        f2, cache2 = forward(params, v2)
+        r1, r_cache1 = _reference_forward(params, v1)
+        r2, r_cache2 = _reference_forward(params, v2)
+        np.testing.assert_array_equal(f1, r1)
+        np.testing.assert_array_equal(f2, r2)
+        loss, g1, g2 = infonce_batch_loss(f1, f2, m_negatives, np.random.default_rng(seed))
+        r_loss, r_g1, r_g2 = _reference_infonce_batch_loss(r1, r2, m_negatives, np.random.default_rng(seed))
+        assert loss == r_loss
+        np.testing.assert_array_equal(g1, r_g1)
+        np.testing.assert_array_equal(g2, r_g2)
+        for cache, r_cache, g in ((cache1, r_cache1, g1), (cache2, r_cache2, g2)):
+            for grad, r_grad in zip(backward(params, cache, g), _reference_backward(params, r_cache, g)):
+                np.testing.assert_array_equal(grad, r_grad)
+
+    def test_negative_mask_tie_at_the_mth_key(self):
+        """A tie at a row's m-th smallest key would keep m + 1 columns; the mask
+        then takes argpartition's m columns, as the reference does."""
+        keys = np.array(
+            [
+                [np.inf, 0.3, 0.1, 0.3, 0.9],  # tie at the 2nd smallest key
+                [0.2, np.inf, 0.7, 0.1, 0.4],
+                [0.5, 0.5, np.inf, 0.5, 0.5],  # every key tied
+                [0.6, 0.1, 0.2, np.inf, 0.8],
+                [0.1, 0.2, 0.3, 0.4, np.inf],
+            ]
+        )
+        m = 2
+        kth = np.sort(keys, axis=1)[:, m - 1 : m]
+        assert (keys <= kth).sum() > keys.shape[0] * m  # so the fallback runs
+        mask = _negative_mask(keys, m, np.empty_like(keys))
+        np.testing.assert_array_equal(mask, _reference_mask(keys, m).astype(float))
+        np.testing.assert_array_equal(mask.sum(axis=1), m)
+
+    def test_negative_mask_without_ties(self, rng):
+        keys = rng.random((9, 9))
+        np.fill_diagonal(keys, np.inf)
+        for m in (1, 4, 7):
+            mask = _negative_mask(keys, m, np.empty_like(keys))
+            np.testing.assert_array_equal(mask, _reference_mask(keys, m).astype(float))
+
+
+class TestMemory:
+    def test_encode_array_peak(self):
+        """Beyond its output, encode_array holds the hidden activations, one
+        norm tile and O(rows) values; the one-shot pass held four output-sized
+        arrays (11.8 MB here)."""
+        rows = 2000
+        params = init_params(3, 128, 256, seed=0)
+        x = np.random.default_rng(0).standard_normal((rows, 3))
+        tracemalloc.start()
+        try:
+            f = encode_array(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        hidden = rows * 128 * 8
+        slack = 2 * 8 * 8192 + 16 * rows  # two ufunc iterator buffers, the norms
+        assert peak <= f.nbytes + hidden + 8 * TILE_VALUES + slack, (peak, f.nbytes)
+
+    @pytest.mark.parametrize("m_negatives", [None, 16])
+    def test_train_contrastive_peak_is_the_workspace(self, m_negatives):
+        """One step workspace of b = 256 rows, reused by every step: two sets of
+        gradients plus, per row, the anchors and two views (3 m), two activations
+        and da (3 hidden), two features and their gradients (4 out_dim), the norms,
+        inner and three loss vectors, the scratch (max(hidden, out_dim)), the b
+        scores and, with subsetting, b keys and b mask values."""
+        n, b, m_in, hidden, out_dim = 2048, 256, 3, 128, 256
+        emb = EmbeddingSet(np.random.default_rng(0).standard_normal((n, m_in)))
+        cfg = TrainConfig(epochs=2, batch_size=b, hidden_size=hidden, out_dim=out_dim, m_negatives=m_negatives)
+        per_row = 3 * m_in + 3 * hidden + 4 * out_dim + 6 + max(hidden, out_dim) + b
+        if m_negatives is not None:
+            per_row += 2 * b
+        param_bytes = 8 * (m_in * hidden + hidden + hidden * out_dim + out_dim)
+        workspace = 8 * b * per_row + 2 * param_bytes
+        tracemalloc.start()
+        try:
+            train_contrastive(emb, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the parameters and the epoch-1 copy, the permutation, and two ufunc buffers
+        slack = 2 * param_bytes + 8 * n + 2 * 8 * 8192
+        assert peak <= workspace + slack, (peak, workspace)
 
 
 class TestTrainContrastive:
