@@ -160,10 +160,6 @@ def subgraph_diameter(adj: np.ndarray, members: list) -> float:
     return _bfs(adj[np.ix_(members, members)])[0]
 
 
-def is_bipartite(adj: np.ndarray, members: list) -> bool:
-    return _bfs(adj[np.ix_(members, members)])[1]
-
-
 def adjacency_spectrum(a: np.ndarray) -> tuple[float, float, float]:
     """(lambda_1, |lambda_2|, omega) of a symmetric adjacency matrix by one dense
     eigendecomposition.

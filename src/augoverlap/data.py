@@ -1,5 +1,5 @@
 """Data model and text file I/O for embeddings, labels, multi-view sets and positive pairs,
-plus the row operations every module shares: normalize, squared distances and class means.
+plus the row operations every module shares: sq_norms, unit_rows, squared distances and class means.
 
 File formats (UTF-8, LF line endings):
 
@@ -53,7 +53,7 @@ def _checked_matrix(v: np.ndarray, name: str, normalized: bool) -> np.ndarray:
         raise ValueError(f"{name} matrix contains non-finite values")
     v = np.ascontiguousarray(v, dtype=np.float64)
     v.flags.writeable = False
-    if normalized and not np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-6):
+    if normalized and not np.allclose(np.sqrt(sq_norms(v)), 1.0, atol=1e-6):
         raise ValueError("normalized flag set but rows are not unit-norm")
     return v
 
@@ -164,11 +164,7 @@ class PositivePairs:
 def normalize(x: EmbeddingSet | ViewSet) -> EmbeddingSet | ViewSet:
     """Project every row of an EmbeddingSet or ViewSet onto the unit sphere.
     Returns the same set type; idempotent; rejects zero rows."""
-    norms = np.linalg.norm(x.values, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateInputError(f"row {zero[0]} has zero norm and cannot be normalized")
-    return dataclasses.replace(x, values=x.values / norms[:, None], normalized=True)
+    return dataclasses.replace(x, values=unit_rows(x.values), normalized=True)
 
 
 def row_tiles(rows: int, width: int):
@@ -178,12 +174,36 @@ def row_tiles(rows: int, width: int):
     return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """``np.sum(x**2, axis=1)`` a row tile at a time; each row sums alone, so the bits match."""
-    out = np.empty(x.shape[0])
-    for lo, hi in row_tiles(*x.shape):
-        np.sum(np.square(x[lo:hi]), axis=1, out=out[lo:hi])
+def sq_norms(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Squared row norms with the bits of ``np.add.reduce(x * x, axis=1)``, the sum in
+    numpy's norm, a row tile at a time. numpy sums a row pairwise when its values are
+    adjacent, and column by column when ``x`` is column-major with over one row; the
+    tiles keep that order (a one-row tile alone would sum pairwise). A row-major
+    tile's squares go to the flat ``scratch`` (one tile of values) if given. ``out``
+    (rows,) receives the result; None allocates it."""
+    rows, width = x.shape
+    out = np.empty(rows) if out is None else out
+    column_major = rows > 1 and width > 1 and abs(x.strides[0]) < abs(x.strides[1])
+    for lo, hi in row_tiles(rows, width):
+        if column_major:
+            o = np.square(x[lo:hi, 0], out=out[lo:hi])
+            for k in range(1, width):
+                o += np.square(x[lo:hi, k])
+        else:  # a fresh tile stays unnamed, so it is freed before the next
+            tile = None if scratch is None else scratch[: (hi - lo) * width].reshape(hi - lo, width)
+            np.add.reduce(np.square(x[lo:hi], out=tile), axis=1, out=out[lo:hi])
     return out
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` divided by its row norms, in ``x``'s layout, with the bits of numpy's
+    ``x / norm(x, axis=1, keepdims=True)``; rejects zero rows."""
+    norms = sq_norms(x)
+    np.sqrt(norms, out=norms)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateInputError(f"row {zero[0]} has zero norm and cannot be normalized")
+    return x / norms[:, None]
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -202,8 +222,8 @@ def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     tiles = list(row_tiles(*out.shape))
     buf = np.empty((tiles[0][1] if tiles else 0, out.shape[1]))
     if not narrow:
-        sa = _sq_norms(a)
-        sb = sa if b is a else _sq_norms(b)
+        sa = sq_norms(a)
+        sb = sa if b is a else sq_norms(b)
         for lo, hi in tiles:
             o, t = out[lo:hi], buf[: hi - lo]
             np.add(sa[lo:hi, None], sb[None, :], out=t)

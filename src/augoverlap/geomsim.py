@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, LabelSet, ViewSet, sq_distances
+from .data import EmbeddingSet, LabelSet, ViewSet, sq_distances, sq_norms, unit_rows
 
 INF = math.inf
 
@@ -39,7 +39,7 @@ class GeomConfig:
             raise ValueError("noise_r must be >= 0")
         if self.class_centers is not None:
             centers = np.atleast_2d(np.asarray(self.class_centers, dtype=np.float64))
-            if not np.allclose(np.linalg.norm(centers, axis=1), 1.0, atol=1e-6):
+            if not np.allclose(np.sqrt(sq_norms(centers)), 1.0, atol=1e-6):
                 raise ValueError("class centers must be unit vectors")
             centers.flags.writeable = False
             object.__setattr__(self, "class_centers", centers)
@@ -51,8 +51,8 @@ class ThresholdReport:
     r2: float
     r3: float
     r_mc_closed: float
-    r_mc_empirical: float = math.nan
-    regime: str | None = None
+    r_mc_empirical: float
+    regime: str
 
 
 def _rotation_to(center: np.ndarray) -> np.ndarray:
@@ -96,8 +96,7 @@ def sample_caps(cfg: GeomConfig) -> tuple[EmbeddingSet, LabelSet]:
         local = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
         points.append(local @ _rotation_to(centers[ki]).T)
         labels.append(np.full(count, ki, dtype=np.int64))
-    values = np.vstack(points)
-    values /= np.linalg.norm(values, axis=1, keepdims=True)
+    values = unit_rows(np.vstack(points))
     return EmbeddingSet(values, normalized=True), LabelSet(np.concatenate(labels), k=k)
 
 
@@ -134,10 +133,9 @@ def connectivity_radius_closed_form(d: int, area: float, n: int) -> float:
 def min_center_halfdistance(centers: np.ndarray | None) -> float:
     if centers is None or centers.shape[0] < 2:
         return INF
-    diffs = centers[:, None, :] - centers[None, :, :]
-    dists = np.linalg.norm(diffs, axis=2)
-    np.fill_diagonal(dists, INF)
-    return 0.5 * float(dists.min())
+    d2 = sq_distances(centers)
+    np.fill_diagonal(d2, INF)
+    return 0.5 * math.sqrt(float(d2.min()))
 
 
 def classify_regime(noise_r: float, r1: float, r2: float, r3: float) -> str:
@@ -148,15 +146,6 @@ def classify_regime(noise_r: float, r1: float, r2: float, r3: float) -> str:
     if noise_r >= r2:
         return "full"
     return "intermediate"
-
-
-def thresholds_closed_form(cfg: GeomConfig) -> ThresholdReport:
-    """The overlap thresholds r1/r2/r3 and the connectivity asymptotic, closed form."""
-    r1 = nn_distance_closed_form(1, cfg.d, cfg.area, cfg.n)
-    r2 = nn_distance_closed_form(cfg.n - 1, cfg.d, cfg.area, cfg.n)
-    r3 = min_center_halfdistance(cfg.class_centers)
-    r_mc = connectivity_radius_closed_form(cfg.d, cfg.area, cfg.n)
-    return ThresholdReport(r1=r1, r2=r2, r3=r3, r_mc_closed=r_mc, regime=classify_regime(cfg.noise_r, r1, r2, r3))
 
 
 def _sample_points(cfg: GeomConfig, rng: np.random.Generator) -> np.ndarray:

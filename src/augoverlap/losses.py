@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, row_tiles
+from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, row_tiles, sq_norms
 
 # Exact enumeration of the negative draw replaces Monte Carlo whenever the
 # outcome space pool_size**M is at most this many tuples.
@@ -210,8 +210,7 @@ def class_stats(e: EmbeddingSet, labels: LabelSet) -> ClassStats:
     """Per-class mean vectors and the conditional variance E||f(x) - mu_y||^2."""
     _require_normalized(e)
     means = class_means(e.values, labels)
-    diffs = e.values - means[labels.labels]
-    cond_var = float(np.mean(np.sum(diffs**2, axis=1)))
+    cond_var = float(np.mean(sq_norms(e.values - means[labels.labels])))
     return ClassStats(means=means, cond_variance=cond_var)
 
 
@@ -223,7 +222,7 @@ def alignment_uniformity(pairs: PositivePairs, sample_budget: int = 0, seed: int
         rng = np.random.default_rng(seed)
         idx = rng.choice(pairs.n, size=sample_budget, replace=False)
         left, right = left[idx], right[idx]
-    dists = np.linalg.norm(left - right, axis=1)
+    dists = np.sqrt(sq_norms(left - right))
     return float(dists.mean()), float(dists.max())
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import EmbeddingSet, LabelSet, PositivePairs
+from .data import EmbeddingSet, LabelSet, PositivePairs, unit_rows
 
 
 def class_centers(k: int, m: int, seed: int = 0) -> np.ndarray:
@@ -26,7 +26,7 @@ def class_centers(k: int, m: int, seed: int = 0) -> np.ndarray:
     if k <= m:
         q, _ = np.linalg.qr(g)
         return np.ascontiguousarray(q[:, :k].T)
-    return g.T / np.linalg.norm(g.T, axis=1, keepdims=True)
+    return unit_rows(g.T)
 
 
 def balanced_labels(n: int, k: int, rng: np.random.Generator) -> LabelSet:
@@ -36,8 +36,7 @@ def balanced_labels(n: int, k: int, rng: np.random.Generator) -> LabelSet:
 
 
 def _class_conditional(centers: np.ndarray, labels: np.ndarray, spread: float, rng) -> np.ndarray:
-    x = centers[labels] + spread * rng.standard_normal((labels.shape[0], centers.shape[1]))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return unit_rows(centers[labels] + spread * rng.standard_normal((labels.shape[0], centers.shape[1])))
 
 
 def ci_pairs(n: int, k: int, m: int, spread: float = 0.3, seed: int = 0) -> PositivePairs:
@@ -75,8 +74,7 @@ def dependent_pairs(
     centers = class_centers(k, m, seed=seed)
     labels = balanced_labels(n, k, rng)
     left = _class_conditional(centers, labels.labels, spread, rng)
-    right = left + perturb * rng.standard_normal(left.shape)
-    right /= np.linalg.norm(right, axis=1, keepdims=True)
+    right = unit_rows(left + perturb * rng.standard_normal(left.shape))
     return PositivePairs(
         EmbeddingSet(left, normalized=True),
         EmbeddingSet(right, normalized=True),

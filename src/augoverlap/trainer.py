@@ -18,8 +18,7 @@ Every arithmetic operation keeps the operands and the order of the one-shot
 expressions, and the random draws are the same calls in the same order, so
 loss traces, parameters and encodings keep their bits:
 - in-place ``+=``, ``/=`` and ``out=`` are the same IEEE operations;
-- the row norms reduce one row tile at a time, and each row reduces alone,
-  as in ``np.linalg.norm``;
+- the row norms come from ``data.sq_norms``, which keeps the one-shot bits;
 - the products are never tiled over rows, since a row tile of ``x @ w`` can
   differ in bits from the whole product;
 - the full-negative path zeroes the diagonal of exp(scores), which equals
@@ -37,8 +36,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, row_tiles
+from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, sq_norms, unit_rows
 from .errors import TrainingDivergenceError
+from .synth import balanced_labels
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,7 @@ def forward(params: EncoderParams, x: np.ndarray, out=None):
     np.tanh(a, out=a)
     np.matmul(a, params.w2, out=f)
     f += params.b2
-    # np.linalg.norm's add.reduce(f*f, axis=1), a row tile at a time: each row reduces alone
-    for lo, hi in row_tiles(*f.shape):
-        squares = _prefix(scratch, hi - lo, f.shape[1])
-        np.multiply(f[lo:hi], f[lo:hi], out=squares)
-        np.add.reduce(squares, axis=1, keepdims=True, out=norms[lo:hi])
+    sq_norms(f, out=norms.reshape(-1), scratch=scratch)
     np.sqrt(norms, out=norms)
     f /= norms
     return f, (x, a, norms, f)
@@ -359,11 +355,8 @@ def counterexample_prop53(n: int, k: int, m: int, seed: int = 0):
     if not n >= k >= 2:
         raise ValueError("need n >= k >= 2")
     rng = np.random.default_rng(seed)
-    features = rng.standard_normal((n, m))
-    features /= np.linalg.norm(features, axis=1, keepdims=True)
-    labels = np.tile(np.arange(k), n // k + 1)[:n]
-    rng.shuffle(labels)
-    label_set = LabelSet(labels, k=k)
+    features = unit_rows(rng.standard_normal((n, m)))
+    label_set = balanced_labels(n, k, rng)
     emb = EmbeddingSet(features, normalized=True)
     pairs = PositivePairs(emb, emb, label_set, label_set)
     accuracy = mean_classifier_accuracy(features, label_set, features, label_set)

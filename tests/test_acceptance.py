@@ -237,7 +237,7 @@ def test_criterion_08_spectral_certificate():
         adj = g.neighbors()
         members = list(range(n))
         diam = auggraph.subgraph_diameter(adj, members)
-        if math.isinf(diam) or auggraph.is_bipartite(adj, members):
+        if math.isinf(diam) or auggraph.class_graph_stats(adj).bipartite:
             continue
         lam1, lam2, omega = auggraph.adjacency_spectrum(a)
         d_hat, _ = bounds.spectral_diameter(omega, lam1, lam2)

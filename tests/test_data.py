@@ -1,7 +1,9 @@
 """File formats, dataclass invariants, normalization and the shared row kernels."""
 
+import ast
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,6 +27,8 @@ from augoverlap.data import (
     save_labels,
     save_views,
     sq_distances,
+    sq_norms,
+    unit_rows,
 )
 from augoverlap.errors import DegenerateInputError, ParseError
 
@@ -247,6 +251,78 @@ def test_sq_distances_memory_is_one_tile_beyond_the_result(rows, dim):
     finally:
         tracemalloc.stop()
     assert peak <= d2.nbytes + 2 * 8 * data.TILE_VALUES + 32 * rows, (peak, d2.nbytes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.one_of(st.integers(1, 12), st.integers(13, 300)),
+    tiles=st.integers(0, 3),
+    last=st.one_of(st.integers(1, 2), st.integers(1, data.TILE_VALUES)),
+    layout=st.sampled_from("CF"),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**31),
+)
+@example(width=300, tiles=2, last=1, layout="F", log_scale=0.0, seed=0)  # the last tile holds one row
+@example(width=300, tiles=0, last=1, layout="F", log_scale=0.0, seed=0)  # one row
+def test_row_norm_kernel_matches_numpy_norm(width, tiles, last, layout, log_scale, seed):
+    """sq_norms has the bits of numpy's norm reduction and unit_rows those of the
+    division by numpy's norm, in C and F layouts, across row tiles, with and
+    without scratch. numpy sums an F-ordered row one column at a time and a
+    C-ordered row pairwise, which differ from width 8 on."""
+    step = max(1, data.TILE_VALUES // width)  # rows per tile
+    rows = tiles * step + min(last, step)
+    x = np.asarray(10.0**log_scale * np.random.default_rng(seed).standard_normal((rows, width)), order=layout)
+    expected = np.add.reduce(x * x, axis=1)  # what np.linalg.norm takes the root of
+    assert np.array_equal(np.sqrt(expected), np.linalg.norm(x, axis=1))
+    assert np.array_equal(sq_norms(x), expected)
+    unit = unit_rows(x)
+    assert np.array_equal(unit, x / np.linalg.norm(x, axis=1, keepdims=True))
+    assert unit.flags.f_contiguous == x.flags.f_contiguous
+    if layout == "C":
+        out, scratch = np.empty(rows), np.empty(max(data.TILE_VALUES, width))
+        assert sq_norms(x, out=out, scratch=scratch) is out
+        assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("layout", "CF")
+def test_unit_rows_names_the_zero_row(layout):
+    x = np.asarray(np.random.default_rng(0).standard_normal((5000, 16)), order=layout)
+    x[4321] = 0.0  # in the third row tile
+    with pytest.raises(DegenerateInputError, match="row 4321 has zero norm"):
+        unit_rows(x)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rows, dim", [(20000, 64), (2000, 256)])
+def test_normalize_memory_is_the_output_and_two_tiles(rows, dim):
+    """normalize and the unit-norm check of its result hold the output, at most two
+    tiles of squares, O(rows) norms and the finite check's boolean mask (one byte
+    a value); a whole-matrix x * x would add 8 bytes a value."""
+    e = EmbeddingSet(np.random.default_rng(0).standard_normal((rows, dim)))
+    limit = e.values.size + 2 * 8 * data.TILE_VALUES + 32 * rows
+    unit, peak = _peak_bytes(lambda: normalize(e))
+    assert peak <= unit.values.nbytes + limit, (peak, unit.values.nbytes)
+    values = unit.values.copy()
+    _, peak = _peak_bytes(lambda: EmbeddingSet(values, normalized=True))
+    assert peak <= limit, peak
+
+
+def test_library_has_one_row_norm():
+    """Every row norm goes through data.sq_norms, so no module calls numpy's norm."""
+    for path in sorted(Path(data.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert not ast.unparse(node).endswith("linalg.norm"), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                assert "norm" not in [alias.name for alias in node.names], f"{path.name}:{node.lineno}"
 
 
 def test_writer_matches_per_value_format(tmp_path):

@@ -19,7 +19,6 @@ from augoverlap.geomsim import (
     nn_distance_closed_form,
     sample_caps,
     sample_flat,
-    thresholds_closed_form,
     unit_ball_volume,
 )
 
@@ -124,13 +123,6 @@ class TestRegimes:
         assert classify_regime(0.3, 0.1, 0.5, 1.0) == "intermediate"
         assert classify_regime(0.7, 0.1, 0.5, 1.0) == "full"
         assert classify_regime(1.5, 0.1, 0.5, 1.0) == "over"
-
-    def test_thresholds_closed_form(self):
-        cfg = GeomConfig(d=3, n=100, area=1.0, class_centers=NORTH_SOUTH, noise_r=2.0)
-        rep = thresholds_closed_form(cfg)
-        assert 0.0 < rep.r1 < rep.r2
-        assert rep.r3 == pytest.approx(1.0)
-        assert rep.regime == "over"
 
 
 class TestMst:
