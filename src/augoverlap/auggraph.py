@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TILE_VALUES, LabelSet, ViewSet, sq_distances
+from .data import TILE_VALUES, LabelSet, ViewSet, require_normalized, sq_distances
+from .errors import DegenerateInputError
 
 INF = math.inf
 
@@ -75,13 +76,12 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
         raise ValueError(f"unknown metric {metric!r}")
     if views.n < 2:
         raise ValueError("need at least 2 anchors")
-    if metric == "euclidean" and threshold <= 0:
-        raise ValueError("euclidean threshold must be > 0")
+    if metric == "euclidean" and not 0.0 < threshold < INF:
+        raise ValueError(f"euclidean threshold must be > 0 and finite, got {threshold}")
     if metric == "cosine":
         if not -1.0 < threshold <= 1.0:
             raise ValueError("cosine threshold must lie in (-1, 1]")
-        if not views.normalized:
-            raise ValueError("cosine metric requires normalized views")
+        require_normalized(views)
 
     n, c = views.n, views.c
     closest = np.full((n, n), INF)  # min squared view distance, filled above the diagonal
@@ -202,7 +202,7 @@ def graph_stats(g: AugGraph, labels: LabelSet) -> GraphStats:
     for k in range(labels.k):
         members = np.flatnonzero(labels.labels == k)
         if not members.size:
-            raise ValueError(f"class {k} is empty")
+            raise DegenerateInputError(f"class {k} is empty")
         block = adj[np.ix_(members, members)]
         intra += int(block.sum()) // 2
         per_class.append(class_graph_stats(block))

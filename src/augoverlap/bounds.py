@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .data import require_nonnegative
+
 E = math.e
 
 INF = math.inf
@@ -26,7 +28,6 @@ class BoundInputs:
     """Everything the bound formulas consume for one encoder and one (M, K) setting."""
 
     l_contr: float = 0.0
-    l_mce: float = 0.0
     cond_variance: float = 0.0
     alpha: float = 0.0
     epsilon: float = 0.0
@@ -38,16 +39,17 @@ class BoundInputs:
     k_classes: int = 1
 
     def __post_init__(self):
-        if self.cond_variance < 0:
-            raise ValueError("cond_variance must be >= 0")
+        if math.isnan(self.l_contr):
+            raise ValueError("l_contr must not be NaN")
+        require_nonnegative(cond_variance=self.cond_variance, epsilon=self.epsilon)
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not self.diameter >= 0.0:
+            raise ValueError(f"diameter must be >= 0 (inf allowed), got {self.diameter}")
         if not 0.0 <= self.omega <= 1.0:
-            raise ValueError("omega must lie in [0, 1]")
-        if self.lambda2_abs > self.lambda1:
-            raise ValueError("lambda1 must dominate lambda2_abs")
+            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
+        if not self.lambda2_abs <= self.lambda1:
+            raise ValueError(f"lambda1 must dominate lambda2_abs, got {self.lambda1} and {self.lambda2_abs}")
         if self.m_negatives < 1 or self.k_classes < 1:
             raise ValueError("M and K must be >= 1")
 

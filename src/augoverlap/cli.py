@@ -73,9 +73,8 @@ def _finish(args, result_obj) -> None:
 
 
 def _json_num(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
+    """A diameter (>= 0 or inf) for JSON, which has no infinity."""
+    return "inf" if math.isinf(x) else x
 
 
 # ---------------------------------------------------------------------------
@@ -156,30 +155,19 @@ def _simulate_rows(d, n, area, r_grid, trials, seed):
     rng = np.random.default_rng(seed)
     rows = []
     for r in r_grid:
-        connected = 0
-        components = []
-        diameters = []
+        components, diameters = [], []  # diameters of the connected trials
         for _ in range(trials):
             cfg = geomsim.GeomConfig(d=d, n=n, area=area, seed=int(rng.integers(2**31)))
-            pts = geomsim.sample_flat(cfg, np.random.default_rng(cfg.seed))
-            views = data.ViewSet(pts, n=n, c=1)
             if r <= 0.0:
-                comps = n
-                diam = math.inf
-            else:
-                g = auggraph.build_graph(views, r, "euclidean")
-                comp_list = auggraph.connected_components(g)
-                comps = len(comp_list)
-                if comps == 1:
-                    diam = auggraph.subgraph_diameter(g.neighbors(), list(range(n)))
-                else:
-                    diam = math.inf
-            if comps == 1:
-                connected += 1
-                diameters.append(diam)
-            components.append(comps)
+                components.append(n)
+                continue
+            pts = geomsim.sample_flat(cfg, np.random.default_rng(cfg.seed))
+            g = auggraph.build_graph(data.ViewSet(pts, n=n, c=1), r, "euclidean")
+            components.append(len(auggraph.connected_components(g)))
+            if components[-1] == 1:
+                diameters.append(auggraph.subgraph_diameter(g.neighbors(), list(range(n))))
         d_max = max(diameters) if diameters else math.inf
-        rows.append([r, connected / trials, float(np.mean(components)), d_max])
+        rows.append([r, len(diameters) / trials, float(np.mean(components)), d_max])
     return rows
 
 

@@ -33,6 +33,7 @@ naming the file and the first bad line.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,15 +48,42 @@ _FORMAT_VALUES = 1 << 14  # values per formatted block: about 130 bytes of tempo
 TILE_VALUES = 1 << 15  # values per row tile of the array kernels: a 256 KB float64 tile stays in cache
 
 
-def _checked_matrix(v: np.ndarray, name: str, normalized: bool) -> np.ndarray:
-    """A finite, read-only float64 copy of ``v``; unit-norm rows when ``normalized``."""
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} matrix contains non-finite values")
+def checked_matrix(v: np.ndarray, name: str, normalized: bool) -> np.ndarray:
+    """``v`` as a finite, read-only, C-contiguous float64 matrix, with unit-norm rows
+    when ``normalized``; ``name`` names it in the errors. A C-contiguous float64 ``v``
+    is not copied: it comes back itself, now read-only (``normalize`` holds one output
+    because of it). Beyond a copy, the checks hold one row tile and O(rows) values."""
     v = np.ascontiguousarray(v, dtype=np.float64)
+    for lo, hi in row_tiles(*v.shape):
+        if not np.isfinite(v[lo:hi]).all():
+            raise ValueError(f"{name} matrix contains non-finite values")
     v.flags.writeable = False
-    if normalized and not np.allclose(np.sqrt(sq_norms(v)), 1.0, atol=1e-6):
-        raise ValueError("normalized flag set but rows are not unit-norm")
+    if normalized:
+        norms = sq_norms(v)
+        bad = np.flatnonzero(~np.isclose(np.sqrt(norms, out=norms), 1.0, atol=1e-6))
+        if bad.size:
+            raise ValueError(f"{name} rows must be unit vectors: row {bad[0]} has norm {norms[bad[0]]:.9g}, not unit-norm")
     return v
+
+
+def require_normalized(*sets: EmbeddingSet | ViewSet) -> None:
+    """Raise unless every set was built with ``normalized=True`` (unit-norm rows)."""
+    for s in sets:
+        if not s.normalized:
+            raise ValueError(f"{type(s).__name__} must be normalized first (see data.normalize)")
+
+
+def require_labels(pairs: PositivePairs) -> None:
+    """Raise unless both sides of ``pairs`` carry labels."""
+    if not pairs.labeled:
+        raise ValueError("positive pairs must carry labels on both sides")
+
+
+def require_nonnegative(**values: float) -> None:
+    """Raise a ValueError naming the first of ``values`` that is not finite and >= 0."""
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +97,7 @@ class EmbeddingSet:
         v = self.values
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"embedding matrix must be 2-D and non-empty, got shape {v.shape}")
-        object.__setattr__(self, "values", _checked_matrix(v, "embedding", self.normalized))
+        object.__setattr__(self, "values", checked_matrix(v, "embedding", self.normalized))
 
     @property
     def n(self) -> int:
@@ -119,7 +147,7 @@ class ViewSet:
             raise ValueError("n and c must be >= 1")
         if v.ndim != 2 or v.shape[0] != self.n * self.c:
             raise ValueError(f"expected {self.n * self.c} rows, got {v.shape[0]}")
-        object.__setattr__(self, "values", _checked_matrix(v, "view", self.normalized))
+        object.__setattr__(self, "values", checked_matrix(v, "view", self.normalized))
 
     @property
     def m(self) -> int:
@@ -256,9 +284,10 @@ def class_means(values: np.ndarray, labels: LabelSet) -> np.ndarray:
 # parsing helpers
 
 
-def _read_file(path, magic: str, fields: str) -> tuple[list[str], tuple[int, ...]]:
+def _read_file(path, magic: str, fields: str, zero_ok: str = "") -> tuple[list[str], tuple[int, ...]]:
     """The lines of a file whose line 1 is ``magic`` and whose line 2 holds
-    ``name=<int>`` for each name in ``fields``, and those integers."""
+    ``name=<int>`` for each name in ``fields``, and those integers, each >= 1
+    unless its name is in ``zero_ok``."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -268,7 +297,11 @@ def _read_file(path, magic: str, fields: str) -> tuple[list[str], tuple[int, ...
     m = re.fullmatch(" ".join(rf"{name}=(\d+)" for name in fields.split()), header)
     if m is None:
         raise ParseError(f"{path}: line 2: malformed header {header!r}")
-    return lines, tuple(int(v) for v in m.groups())
+    values = tuple(int(v) for v in m.groups())
+    for name, value in zip(fields.split(), values):
+        if value == 0 and name not in zero_ok.split():
+            raise ParseError(f"{path}: line 2: {name} must be >= 1, got 0")
+    return lines, values
 
 
 def _parse_rows(lines: list[str], cols: int, dtype, valid, parse_row, path) -> np.ndarray:
@@ -319,7 +352,7 @@ def load_embeddings(path) -> EmbeddingSet:
 
 
 def load_views(path) -> ViewSet:
-    lines, (n, c, m) = _read_file(path, "VIEWS v1", "n c dim")
+    lines, (n, c, m) = _read_file(path, "VIEWS v1", "n c dim", zero_ok="dim")  # zero-column views round-trip
     return ViewSet(_parse_matrix(lines, n * c, m, path), n=n, c=c)
 
 

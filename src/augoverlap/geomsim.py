@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, LabelSet, ViewSet, sq_distances, sq_norms, unit_rows
+from .data import EmbeddingSet, LabelSet, ViewSet, checked_matrix, require_nonnegative, sq_distances, unit_rows
 
 INF = math.inf
-
-REGIMES = ("no_overlap", "intermediate", "full", "over")
 
 
 @dataclass(frozen=True)
@@ -31,17 +29,15 @@ class GeomConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.area <= 0:
-            raise ValueError("area must be > 0")
-        if self.noise_r < 0:
-            raise ValueError("noise_r must be >= 0")
+        if not 0.0 < self.area < INF:
+            raise ValueError(f"area must be > 0 and finite, got {self.area}")
+        require_nonnegative(noise_r=self.noise_r)
         if self.class_centers is not None:
-            centers = np.atleast_2d(np.asarray(self.class_centers, dtype=np.float64))
-            if not np.allclose(np.sqrt(sq_norms(centers)), 1.0, atol=1e-6):
-                raise ValueError("class centers must be unit vectors")
-            centers.flags.writeable = False
+            centers = checked_matrix(np.atleast_2d(self.class_centers), "class center", normalized=True)
             object.__setattr__(self, "class_centers", centers)
 
 
@@ -229,8 +225,7 @@ def augment(points: EmbeddingSet, r: float, count: int, seed: int = 0) -> ViewSe
     the base noise across different strengths. Views are not re-projected
     onto the sphere.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    require_nonnegative(r=r)
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)

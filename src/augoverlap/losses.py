@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, row_tiles, sq_norms
+from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, require_labels, require_nonnegative, require_normalized, row_tiles, sq_norms
 
 # Exact enumeration of the negative draw replaces Monte Carlo whenever the
 # outcome space pool_size**M is at most this many tuples.
@@ -60,19 +60,7 @@ class ClassStats:
     cond_variance: float
 
     def __post_init__(self):
-        if self.cond_variance < 0:
-            raise ValueError("conditional variance must be nonnegative")
-
-
-def _require_normalized(*sets: EmbeddingSet) -> None:
-    for e in sets:
-        if not e.normalized:
-            raise ValueError("embeddings must be normalized first (see data.normalize)")
-
-
-def _check_pair_labels(pairs: PositivePairs) -> None:
-    if not pairs.labeled:
-        raise ValueError("pairs must carry labels on both sides")
+        require_nonnegative(cond_variance=self.cond_variance)
 
 
 def _check_draws(m_negatives: int, trials: int) -> None:
@@ -149,7 +137,7 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
     _check_draws(m_negatives, trials)
     if pairs.n < 2:
         raise ValueError("need at least 2 pairs")
-    _require_normalized(pairs.left, pairs.right)
+    require_normalized(pairs.left, pairs.right)
 
     anchors = pairs.left.values
     pool = np.vstack([pairs.left.values, pairs.right.values])
@@ -180,7 +168,7 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
 
 def mce_adjusted(e: EmbeddingSet, labels: LabelSet) -> LossValue:
     """Adjusted mean-CE loss with empirical class means as classifier weights. Exact."""
-    _require_normalized(e)
+    require_normalized(e)
     means = class_means(e.values, labels)
     scores = e.values @ means.T  # (n, K)
     pos_term = -float(np.mean(scores[np.arange(e.n), labels.labels]))
@@ -202,13 +190,13 @@ def mc_negative_term(e: EmbeddingSet, labels: LabelSet, m_negatives: int, trials
     O(M^-1/2) with an explicit e/sqrt(M) cap.
     """
     _check_draws(m_negatives, trials)
-    _require_normalized(e)
+    require_normalized(e)
     return _mc_log_mean_exp(e.values, class_means(e.values, labels), m_negatives, trials, seed)
 
 
 def class_stats(e: EmbeddingSet, labels: LabelSet) -> ClassStats:
     """Per-class mean vectors and the conditional variance E||f(x) - mu_y||^2."""
-    _require_normalized(e)
+    require_normalized(e)
     means = class_means(e.values, labels)
     cond_var = float(np.mean(sq_norms(e.values - means[labels.labels])))
     return ClassStats(means=means, cond_variance=cond_var)
@@ -216,7 +204,7 @@ def class_stats(e: EmbeddingSet, labels: LabelSet) -> ClassStats:
 
 def alignment_uniformity(pairs: PositivePairs, sample_budget: int = 0, seed: int = 0) -> tuple[float, float]:
     """Mean and max positive-pair feature distance (the empirical epsilon)."""
-    _require_normalized(pairs.left, pairs.right)
+    require_normalized(pairs.left, pairs.right)
     left, right = pairs.left.values, pairs.right.values
     if sample_budget and pairs.n > sample_budget:
         rng = np.random.default_rng(seed)
@@ -228,5 +216,5 @@ def alignment_uniformity(pairs: PositivePairs, sample_budget: int = 0, seed: int
 
 def label_consistency_alpha(pairs: PositivePairs) -> float:
     """Fraction of positive pairs whose two sides carry different labels."""
-    _check_pair_labels(pairs)
+    require_labels(pairs)
     return float(np.mean(pairs.left_labels.labels != pairs.right_labels.labels))

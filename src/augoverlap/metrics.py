@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PositivePairs, ViewSet, sq_distances
+from .data import PositivePairs, ViewSet, require_labels, require_normalized, sq_distances
 from .errors import UndefinedMetricError
 
 STATS = {
@@ -147,10 +147,8 @@ def ci_ratio(pairs: PositivePairs) -> float:
     independent given the class. Values near 1 therefore indicate conditional
     independence; tightly coupled pairs push the ratio above 1.
     """
-    if not pairs.labeled:
-        raise ValueError("ci_ratio needs labels on both sides")
-    if not (pairs.left.normalized and pairs.right.normalized):
-        raise ValueError("embeddings must be normalized")
+    require_labels(pairs)
+    require_normalized(pairs.left, pairs.right)
     labels = pairs.left_labels.labels
     left, right = pairs.left.values, pairs.right.values
     ratios = []

@@ -12,9 +12,11 @@ Two pair constructions share the same class-conditional distribution
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .data import EmbeddingSet, LabelSet, PositivePairs, unit_rows
+from .data import EmbeddingSet, LabelSet, PositivePairs, require_nonnegative, unit_rows
 
 
 def class_centers(k: int, m: int, seed: int = 0) -> np.ndarray:
@@ -39,23 +41,25 @@ def _class_conditional(centers: np.ndarray, labels: np.ndarray, spread: float, r
     return unit_rows(centers[labels] + spread * rng.standard_normal((labels.shape[0], centers.shape[1])))
 
 
-def ci_pairs(n: int, k: int, m: int, spread: float = 0.3, seed: int = 0) -> PositivePairs:
-    """Positive pairs with exact conditional independence given the label."""
+def _pairs(n: int, k: int, m: int, seed: int, positive, **strengths: float) -> PositivePairs:
+    """Labelled pairs after the checks of both constructions (the pair count, then
+    ``strengths``): anchors ``left`` from the class conditional ``conditional(spread,
+    rng)``, then positives ``positive(left, conditional, rng)``, drawn in that order."""
     if n < 2 * k:
         raise ValueError("need at least 2 pairs per class")
-    if spread < 0:
-        raise ValueError("spread must be >= 0")
+    require_nonnegative(**strengths)
     rng = np.random.default_rng(seed)
     centers = class_centers(k, m, seed=seed)
     labels = balanced_labels(n, k, rng)
-    left = _class_conditional(centers, labels.labels, spread, rng)
-    right = _class_conditional(centers, labels.labels, spread, rng)
-    return PositivePairs(
-        EmbeddingSet(left, normalized=True),
-        EmbeddingSet(right, normalized=True),
-        labels,
-        labels,
-    )
+    conditional = functools.partial(_class_conditional, centers, labels.labels)
+    left = conditional(strengths["spread"], rng)
+    right = positive(left, conditional, rng)
+    return PositivePairs(EmbeddingSet(left, normalized=True), EmbeddingSet(right, normalized=True), labels, labels)
+
+
+def ci_pairs(n: int, k: int, m: int, spread: float = 0.3, seed: int = 0) -> PositivePairs:
+    """Positive pairs with exact conditional independence given the label."""
+    return _pairs(n, k, m, seed, lambda left, conditional, rng: conditional(spread, rng), spread=spread)
 
 
 def dependent_pairs(
@@ -66,18 +70,8 @@ def dependent_pairs(
     The wide class conditional keeps each class center norm well below 1, so
     the conditional-independence ratio of these pairs sits clearly above 1.
     """
-    if n < 2 * k:
-        raise ValueError("need at least 2 pairs per class")
-    if spread < 0 or perturb < 0:
-        raise ValueError("spread and perturb must be >= 0")
-    rng = np.random.default_rng(seed)
-    centers = class_centers(k, m, seed=seed)
-    labels = balanced_labels(n, k, rng)
-    left = _class_conditional(centers, labels.labels, spread, rng)
-    right = unit_rows(left + perturb * rng.standard_normal(left.shape))
-    return PositivePairs(
-        EmbeddingSet(left, normalized=True),
-        EmbeddingSet(right, normalized=True),
-        labels,
-        labels,
-    )
+
+    def perturbed(left, conditional, rng):
+        return unit_rows(left + perturb * rng.standard_normal(left.shape))
+
+    return _pairs(n, k, m, seed, perturbed, spread=spread, perturb=perturb)

@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, sq_norms, unit_rows
+from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, require_nonnegative, sq_norms, unit_rows
 from .errors import TrainingDivergenceError
 from .synth import balanced_labels
 
@@ -68,8 +68,7 @@ class TrainConfig:
             raise ValueError("epochs, hidden_size and out_dim must be >= 1")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}")
-        if self.learning_rate < 0 or self.noise_r < 0:
-            raise ValueError("learning_rate and noise_r must be >= 0")
+        require_nonnegative(learning_rate=self.learning_rate, noise_r=self.noise_r)
 
 
 @dataclass(frozen=True)

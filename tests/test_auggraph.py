@@ -24,6 +24,7 @@ from augoverlap.auggraph import (
     subgraph_diameter,
 )
 from augoverlap.data import TILE_VALUES, LabelSet, ViewSet, normalize, sq_distances
+from augoverlap.errors import DegenerateInputError
 
 
 def _graph_from_edges(n, edges):
@@ -99,6 +100,15 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="normalized"):
             build_graph(views, 0.5, metric="cosine")
 
+    def test_needs_two_anchors(self):
+        with pytest.raises(ValueError, match="need at least 2 anchors"):
+            build_graph(ViewSet(np.ones((3, 2)), n=1, c=3), 0.5)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_euclidean_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ValueError, match=f"euclidean threshold must be > 0 and finite, got {threshold}"):
+            build_graph(ViewSet(np.eye(2), n=2, c=1), threshold)
+
     def test_validation(self):
         views = ViewSet(np.ones((2, 2)), n=2, c=1)
         with pytest.raises(ValueError, match="unknown metric"):
@@ -167,6 +177,11 @@ class TestSpectra:
 
 
 class TestGraphStats:
+    def test_empty_class_is_degenerate(self):
+        g = _graph_from_edges(3, {(0, 1)})
+        with pytest.raises(DegenerateInputError, match="class 1 is empty"):
+            graph_stats(g, LabelSet(np.array([0, 0, 2]), k=3))
+
     def test_two_triangles(self):
         g = _graph_from_edges(6, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)})
         labels = LabelSet(np.array([0, 0, 0, 1, 1, 1]), k=2)

@@ -37,6 +37,26 @@ class TestBoundInputs:
         with pytest.raises(ValueError):
             BoundInputs(m_negatives=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("l_contr", math.nan, "l_contr must not be NaN"),
+            ("cond_variance", math.nan, "cond_variance must be >= 0 and finite, got nan"),
+            ("cond_variance", INF, "cond_variance must be >= 0 and finite, got inf"),
+            ("epsilon", INF, "epsilon must be >= 0 and finite, got inf"),
+            ("alpha", math.nan, "alpha must lie in [0, 1], got nan"),
+            ("diameter", math.nan, "diameter must be >= 0 (inf allowed), got nan"),
+            ("omega", math.nan, "omega must lie in [0, 1], got nan"),
+            ("lambda1", math.nan, "lambda1 must dominate lambda2_abs, got nan and 0.0"),
+        ],
+    )
+    def test_nan_and_inf_name_the_field(self, field, value, message):
+        """A NaN fails every range check, so no bound is NaN; inf is rejected where
+        the value is a variance or a distance, and allowed for the diameter."""
+        with pytest.raises(ValueError) as exc:
+            BoundInputs(**{field: value})
+        assert str(exc.value) == message
+
 
 class TestBoundsCi:
     def test_formula(self):

@@ -153,6 +153,16 @@ class TestSimulateCommand:
         # r = 0 leaves every point isolated
         assert float(rows[1][1]) == 0.0 and float(rows[1][2]) == 30.0
 
+    def test_disconnected_trials_give_no_diameter(self, tmp_path):
+        """At a radius above 0, a trial whose graph is disconnected counts towards
+        mean_components but not connected_fraction, and D_max is inf when no trial
+        is connected."""
+        argv = ["--n", "30", "--noise-r", "0.05,1", "--trials", "3", "--seed", "1", "--out", str(tmp_path)]
+        assert main(["simulate", *argv]) == 0
+        rows = _read_csv(tmp_path / "simulate.csv")
+        assert rows[1][1] == "0.0" and float(rows[1][2]) > 1.0 and rows[1][3] == "inf"
+        assert rows[2][1:3] == ["1.0", "1.0"] and 1.0 <= float(rows[2][3]) < 30.0
+
 
 class TestTrainCommand:
     def test_outputs_and_dump(self, tmp_path):
@@ -423,6 +433,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", *TINY_TRAIN, "--learning-rate", "nan"], "learning_rate must be >= 0 and finite, got nan"),
+            (["train", *TINY_TRAIN, "--noise-r", "inf"], "noise_r must be >= 0 and finite, got inf"),
+            (["simulate", "--d", "0", "--n", "10", "--noise-r", "0.5", "--trials", "1"], "d must be >= 1, got 0"),
+            (["simulate", "--n", "10", "--noise-r", "nan", "--trials", "1"], "euclidean threshold must be > 0 and finite, got nan"),
+            (["bounds", "--var", "nan", "--l-unsup", "nan"], "l_contr must not be NaN"),
+            (["bounds", "--var", "nan"], "cond_variance must be >= 0 and finite, got nan"),
+        ],
+    )
+    def test_non_finite_option_is_runtime_error(self, argv, message, tmp_path, capsys):
+        """A NaN or inf option, or d = 0, exits 1 with the field's name, no
+        traceback and no output file."""
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # negative threshold is a runtime ValueError, not a usage error

@@ -88,6 +88,11 @@ class TestViewSet:
         with pytest.raises(ValueError, match="expected 6 rows"):
             ViewSet(np.ones((5, 2)), n=3, c=2)
 
+    @pytest.mark.parametrize("n, c", [(0, 2), (2, 0)])
+    def test_needs_an_anchor_and_a_view(self, n, c):
+        with pytest.raises(ValueError, match="n and c must be >= 1"):
+            ViewSet(np.ones((0, 2)), n=n, c=c)
+
 
 class TestPositivePairs:
     def test_shape_mismatch(self):
@@ -315,6 +320,35 @@ def test_normalize_memory_is_the_output_and_two_tiles(rows, dim):
     assert peak <= limit, peak
 
 
+def test_unit_norm_check_memory_is_two_tiles():
+    """The normalized=True check holds at most two tiles and O(rows) values: the
+    finite check runs a row tile at a time, with no n x m mask."""
+    for rows, dim in [(20000, 64), (2000, 256)]:
+        values = normalize(EmbeddingSet(np.random.default_rng(0).standard_normal((rows, dim)))).values.copy()
+        _, peak = _peak_bytes(lambda: EmbeddingSet(values, normalized=True))
+        assert peak <= 2 * 8 * data.TILE_VALUES + 32 * rows, (rows, dim, peak)
+
+
+def test_checked_matrix_freezes_a_c_contiguous_float64_input():
+    """A C-contiguous float64 matrix is taken as it is, not copied, and the
+    caller's array becomes read-only; any other layout or dtype is copied."""
+    x = np.ones((3, 2))
+    e = EmbeddingSet(x)
+    assert np.shares_memory(e.values, x) and not x.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        x[0, 0] = 2.0
+    for other in (np.asfortranarray(np.ones((3, 2))), np.ones((3, 2), dtype=np.float32)):
+        got = data.checked_matrix(other, "test", normalized=False)
+        assert not np.shares_memory(got, other) and got.flags.c_contiguous and other.flags.writeable
+
+
+def test_checked_matrix_names_the_input():
+    with pytest.raises(ValueError, match="^view matrix contains non-finite values$"):
+        ViewSet(np.array([[0.0], [np.inf]]), n=2, c=1)
+    with pytest.raises(ValueError, match="^class center rows must be unit vectors: row 1 has norm 2, not unit-norm$"):
+        data.checked_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]), "class center", normalized=True)
+
+
 def test_library_has_one_row_norm():
     """Every row norm goes through data.sq_norms, so no module calls numpy's norm."""
     for path in sorted(Path(data.__file__).parent.glob("*.py")):
@@ -323,6 +357,17 @@ def test_library_has_one_row_norm():
                 assert not ast.unparse(node).endswith("linalg.norm"), f"{path.name}:{node.lineno}"
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 assert "norm" not in [alias.name for alias in node.names], f"{path.name}:{node.lineno}"
+
+
+def test_library_has_one_check_per_invariant():
+    """Only data reads the ``normalized`` and ``labeled`` flags; every other module
+    calls data.require_normalized and data.require_labels."""
+    for path in sorted(Path(data.__file__).parent.glob("*.py")):
+        if path.name == "data.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("normalized", "labeled"):
+                assert not isinstance(node.ctx, ast.Load), f"{path.name}:{node.lineno} reads .{node.attr}"
 
 
 def test_writer_matches_per_value_format(tmp_path):
@@ -523,6 +568,26 @@ class TestParseErrors:
         p.write_text("VIEWS v1\nn=2 dim=1\n0\n0\n", encoding="utf-8")
         with pytest.raises(ParseError, match="malformed header"):
             load_views(p)
+
+    @pytest.mark.parametrize(
+        "name, text, field",
+        [
+            ("x.emb", "EMB v1\nn=0 dim=3\n", "n"),
+            ("x.emb", "EMB v1\nn=1 dim=0\n\n", "dim"),
+            ("x.views", "VIEWS v1\nn=0 c=2 dim=3\n", "n"),
+            ("x.views", "VIEWS v1\nn=2 c=0 dim=3\n", "c"),
+            ("x.lab", "LAB v1\nn=0 k=2\n", "n"),
+        ],
+    )
+    def test_empty_header_names_the_file(self, tmp_path, name, text, field):
+        """A header that declares no rows or no columns is a ParseError naming the
+        file and line 2, not a constructor error; VIEWS may have zero columns."""
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8")
+        loader = {".emb": load_embeddings, ".views": load_views, ".lab": load_labels}[p.suffix]
+        with pytest.raises(ParseError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p}: line 2: {field} must be >= 1, got 0"
 
     def test_parse_error_is_value_error(self):
         assert issubclass(ParseError, ValueError)

@@ -36,6 +36,28 @@ class TestGeomConfig:
         with pytest.raises(ValueError, match="unit vectors"):
             GeomConfig(d=3, n=10, area=1.0, class_centers=np.array([[0.0, 0.0, 2.0]]))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("d", 0, "d must be >= 1, got 0"),
+            ("area", math.nan, "area must be > 0 and finite, got nan"),
+            ("area", math.inf, "area must be > 0 and finite, got inf"),
+            ("noise_r", math.nan, "noise_r must be >= 0 and finite, got nan"),
+        ],
+    )
+    def test_non_finite_or_zero_fields(self, field, value, message):
+        kwargs = {"d": 2, "n": 10, "area": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeomConfig(**kwargs)
+
+    def test_centers_are_a_frozen_c_contiguous_copy_of_a_fortran_input(self):
+        centers = np.asfortranarray(NORTH_SOUTH)
+        cfg = GeomConfig(d=3, n=10, area=1.0, class_centers=centers)
+        assert cfg.class_centers.flags.c_contiguous and not cfg.class_centers.flags.writeable
+        assert np.array_equal(cfg.class_centers, NORTH_SOUTH) and centers.flags.writeable
+        own = NORTH_SOUTH.copy()
+        assert GeomConfig(d=3, n=10, area=1.0, class_centers=own).class_centers is own and not own.flags.writeable
+
 
 class TestSampleCaps:
     def test_points_stay_in_their_caps(self):
@@ -221,6 +243,11 @@ class TestAugment:
         d1 = augment(anchors, 0.5, 2, seed=3).values - np.repeat(anchors.values, 2, axis=0)
         d2 = augment(anchors, 1.0, 2, seed=3).values - np.repeat(anchors.values, 2, axis=0)
         np.testing.assert_allclose(d2, 2.0 * d1)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_strength(self, rng, r):
+        with pytest.raises(ValueError, match=f"^r must be >= 0 and finite, got {r}$"):
+            augment(EmbeddingSet(rng.standard_normal((3, 2))), r, 2)
 
     def test_validation(self, rng):
         anchors = EmbeddingSet(rng.standard_normal((3, 2)))

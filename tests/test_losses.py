@@ -39,7 +39,22 @@ class TestLossValue:
             LossValue(3.0, components=(1.0, 1.0))
 
 
+def test_class_stats_variance_must_be_finite():
+    with pytest.raises(ValueError, match="^cond_variance must be >= 0 and finite, got nan$"):
+        losses.ClassStats(np.zeros((1, 2)), math.nan)
+
+
 class TestInfonceAdjusted:
+    def test_needs_two_pairs(self):
+        one = EmbeddingSet(np.array([[1.0, 0.0]]), normalized=True)
+        with pytest.raises(ValueError, match="need at least 2 pairs"):
+            losses.infonce_adjusted(PositivePairs(one, one), m_negatives=1)
+
+    def test_names_the_unnormalized_set(self):
+        raw = EmbeddingSet(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"^EmbeddingSet must be normalized first \(see data.normalize\)$"):
+            losses.class_stats(raw, LabelSet(np.array([0, 1]), k=2))
+
     def test_exact_enumeration_tiny(self):
         pairs = _tiny_pairs()
         # pool = 4 unit vectors; scores of anchor i against the pool

@@ -54,6 +54,10 @@ class TestCiPairs:
         with pytest.raises(ValueError, match="spread"):
             ci_pairs(10, 2, 4, spread=-0.1)
 
+    def test_non_finite_spread(self):
+        with pytest.raises(ValueError, match="^spread must be >= 0 and finite, got nan$"):
+            ci_pairs(10, 2, 4, spread=float("nan"))
+
 
 class TestDependentPairs:
     def test_right_is_tight_perturbation(self):
@@ -66,3 +70,12 @@ class TestDependentPairs:
             dependent_pairs(3, 2, 4)
         with pytest.raises(ValueError, match="perturb"):
             dependent_pairs(10, 2, 4, perturb=-0.1)
+
+    @pytest.mark.parametrize("field, value", [("spread", float("inf")), ("perturb", float("nan"))])
+    def test_non_finite_strength(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0 and finite, got {value}$"):
+            dependent_pairs(10, 2, 4, **{field: value})
+
+    def test_pair_count_is_checked_before_the_strengths(self):
+        with pytest.raises(ValueError, match="2 pairs per class"):
+            dependent_pairs(3, 2, 4, perturb=-1.0)

@@ -129,6 +129,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(noise_r=-1.0)
 
+    @pytest.mark.parametrize("field, value", [("learning_rate", math.nan), ("noise_r", math.inf), ("noise_r", math.nan)])
+    def test_non_finite_rate_or_strength(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0 and finite, got {value}$"):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("batch_size", [1, 0, -4])
     def test_batch_size_below_two(self, batch_size):
         with pytest.raises(ValueError, match=f"batch_size must be >= 2 for in-batch negatives, got {batch_size}"):
