@@ -137,6 +137,7 @@ def spectral_diameter(omega: float, lambda1: float, lambda2_abs: float) -> tuple
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
+    require_nonnegative(lambda1=lambda1, lambda2_abs=lambda2_abs)
     if omega == 0.0:
         return INF, "disconnected (omega = 0)"
     if lambda1 <= 0.0:
@@ -202,6 +203,8 @@ def baseline_bounds(inputs: BoundInputs, l_unsup: float) -> BaselineBounds:
     m, k = inputs.m_negatives, inputs.k_classes
     if k < 2:
         raise ValueError("baselines require K >= 2")
+    if not math.isfinite(l_unsup):
+        raise ValueError(f"l_unsup must be finite, got {l_unsup}")
     tau = collision_probability(m, k)
     v = coverage_probability(m + 1, k)
     elog = expected_log_collisions(m, k)

@@ -50,7 +50,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _out_dir(args) -> Path:
@@ -69,7 +69,7 @@ def _finish(args, result_obj) -> None:
     dispatch = ("out", "subcommand", "recipe", "func")
     config = {key: value for key, value in vars(args).items() if key not in dispatch}
     _write_json(_out_dir(args) / "manifest.json", {"command": _command(args), "config": config})
-    print(json.dumps(result_obj, sort_keys=True))
+    print(json.dumps(result_obj, sort_keys=True, allow_nan=False))
 
 
 def _json_num(x: float):
@@ -152,13 +152,16 @@ def cmd_metrics(args) -> int:
 
 
 def _simulate_rows(d, n, area, r_grid, trials, seed):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     rows = []
     for r in r_grid:
         components, diameters = [], []  # diameters of the connected trials
         for _ in range(trials):
             cfg = geomsim.GeomConfig(d=d, n=n, area=area, seed=int(rng.integers(2**31)))
-            if r <= 0.0:
+            if r <= 0.0:  # no edges
+                data.require_nonnegative(noise_r=r)
                 components.append(n)
                 continue
             pts = geomsim.sample_flat(cfg, np.random.default_rng(cfg.seed))
@@ -284,6 +287,8 @@ def recipe_prop53(args) -> int:
 
 
 def recipe_lemma42(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {args.seeds}")
     pairs = synth.ci_pairs(args.n, args.k, args.dim, spread=args.spread, seed=args.seed)
     emb, labels = pairs.left, pairs.left_labels
     exact = losses.mce_negative_term(emb, labels)
@@ -402,6 +407,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "seed" in vars(args):
+            data.require_nonnegative(seed=args.seed)
         return args.func(args)
     except (TrainingDivergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,13 +21,11 @@ point and the stripped trailing zeros) whose null padding is deleted. Zeros,
 subnormals, values printed in scientific notation (below 1e-4 or from 1e9 once
 rounded) and values within 2**-20 of a rounding tie fall back to ``%``.
 
-Loaders convert the data rows a block at a time (at most ``_BLOCK_VALUES``
-values, so the temporary str tokens stay at a few MB): one ``np.array`` call
-over the block's split lines, accepted when it has the declared shape and every
-value is finite (LAB: in [0, K)). numpy's str cast calls Python's ``float`` and
-``int``, so the block path accepts exactly the tokens the per-row parse does.
-Any other block falls back to the per-row parse, which raises a ParseError
-naming the file and the first bad line.
+Loaders convert all data rows with one ``np.loadtxt`` call, accepted when it has
+the declared shape and every value is finite (LAB: in [0, K)). numpy's parser
+splits on Python's whitespace and accepts a subset of Python's spellings, so any
+file it rejects takes the per-row parse with ``float`` and ``int``, which loads
+it or raises a ParseError naming the file and the first bad line.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import numpy as np
 from .errors import DegenerateInputError, ParseError
 
 _FLOAT_FMT = b"%.9g"
-_BLOCK_VALUES = 1 << 16  # values per parsed block: its str tokens stay at a few MB
 _FORMAT_VALUES = 1 << 14  # values per formatted block: about 130 bytes of temporaries per value
 TILE_VALUES = 1 << 15  # values per row tile of the array kernels: a 256 KB float64 tile stays in cache
 
@@ -225,13 +222,19 @@ def sq_norms(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray |
 
 def unit_rows(x: np.ndarray) -> np.ndarray:
     """``x`` divided by its row norms, in ``x``'s layout, with the bits of numpy's
-    ``x / norm(x, axis=1, keepdims=True)``; rejects zero rows."""
-    norms = sq_norms(x)
+    ``x / norm(x, axis=1, keepdims=True)`` where that norm is finite; a row whose
+    squares overflow is first divided by its largest magnitude. Rejects zero rows."""
+    with np.errstate(over="ignore"):
+        norms = sq_norms(x)
     np.sqrt(norms, out=norms)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateInputError(f"row {zero[0]} has zero norm and cannot be normalized")
-    return x / norms[:, None]
+    out = x / norms[:, None]
+    huge = np.flatnonzero(np.isinf(norms))
+    if huge.size:
+        out[huge] = unit_rows(x[huge] / np.abs(x[huge]).max(axis=1, keepdims=True))
+    return out
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -259,11 +262,12 @@ def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
             o += t
             np.maximum(o, 0.0, out=o)
         return out
-    for lo, hi in tiles:
-        o, t = out[lo:hi], buf[: hi - lo]
-        np.square(np.subtract(a[lo:hi, 0, None], b[None, :, 0], out=o), out=o)
-        for k in range(1, a.shape[1]):
-            o += np.square(np.subtract(a[lo:hi, k, None], b[None, :, k], out=t), out=t)
+    with np.errstate(over="ignore"):  # a squared distance beyond float range is inf
+        for lo, hi in tiles:
+            o, t = out[lo:hi], buf[: hi - lo]
+            np.square(np.subtract(a[lo:hi, 0, None], b[None, :, 0], out=o), out=o)
+            for k in range(1, a.shape[1]):
+                o += np.square(np.subtract(a[lo:hi, k, None], b[None, :, k], out=t), out=t)
     return out
 
 
@@ -305,23 +309,21 @@ def _read_file(path, magic: str, fields: str, zero_ok: str = "") -> tuple[list[s
 
 
 def _parse_rows(lines: list[str], cols: int, dtype, valid, parse_row, path) -> np.ndarray:
-    """The data rows ``lines[2:]`` as a (rows, cols) array, a block at a time. A
-    block that fails to convert, has another shape or fails ``valid`` is parsed
-    again by ``parse_row(line, where)``, which raises at its first bad line."""
+    """The data rows ``lines[2:]`` (at least one) as a (rows, cols) array from one
+    ``np.loadtxt`` call. If it fails, skips a blank row, has another shape or fails
+    ``valid``, each row is parsed by ``parse_row(line, where)``, which raises at the
+    first bad line. loadtxt warns when it finds no data, so zero-column rows and a
+    blank first row take the per-row parse directly."""
     rows = len(lines) - 2
+    try:
+        values = np.loadtxt(lines[2:], dtype=dtype, comments=None, ndmin=2) if cols and lines[2].strip() else None
+    except ValueError:  # a bad token, a ragged row or a carriage return inside a row
+        values = None
+    if values is not None and values.shape == (rows, cols) and valid(values):
+        return values
     out = np.empty((rows, cols), dtype=dtype)
-    step = max(1, _BLOCK_VALUES // max(cols, 1))
-    for lo in range(0, rows, step):
-        block = lines[2 + lo : 2 + lo + step]
-        try:
-            values = np.array([line.split() for line in block], dtype=dtype)
-        except (ValueError, OverflowError):  # a bad token or a ragged block
-            values = None
-        if values is not None and values.shape == (len(block), cols) and valid(values):
-            out[lo : lo + len(block)] = values
-            continue
-        for r, line in enumerate(block, lo):
-            out[r] = parse_row(line, f"{path}: line {r + 3}")
+    for r in range(rows):
+        out[r] = parse_row(lines[r + 2], f"{path}: line {r + 3}")
     return out
 
 

@@ -38,6 +38,8 @@ class GeomConfig:
         require_nonnegative(noise_r=self.noise_r)
         if self.class_centers is not None:
             centers = checked_matrix(np.atleast_2d(self.class_centers), "class center", normalized=True)
+            if centers.shape[1] != self.d:
+                raise ValueError(f"class_centers must have d={self.d} columns, got {centers.shape[1]}")
             object.__setattr__(self, "class_centers", centers)
 
 

@@ -46,7 +46,7 @@ def _pairs(n: int, k: int, m: int, seed: int, positive, **strengths: float) -> P
     ``strengths``): anchors ``left`` from the class conditional ``conditional(spread,
     rng)``, then positives ``positive(left, conditional, rng)``, drawn in that order."""
     if n < 2 * k:
-        raise ValueError("need at least 2 pairs per class")
+        raise ValueError(f"need at least 2 pairs per class, got n={n} for k={k}")
     require_nonnegative(**strengths)
     rng = np.random.default_rng(seed)
     centers = class_centers(k, m, seed=seed)

@@ -273,7 +273,8 @@ class _StepWorkspace:
 def train_contrastive(data: EmbeddingSet, cfg: TrainConfig) -> TrainResult:
     """Minibatch SGD on the adjusted in-batch InfoNCE with fresh augmentation
     noise each step. Returns the final parameters, the epoch-1 checkpoint and
-    the per-epoch mean loss trace."""
+    the per-epoch mean loss trace. A floating-point overflow, invalid operation or
+    division by zero (so any non-finite loss) raises TrainingDivergenceError."""
     if data.n < 2:
         raise ValueError(f"need at least 2 training rows for in-batch negatives, got n={data.n}")
     rng = np.random.default_rng(cfg.seed)
@@ -285,36 +286,38 @@ def train_contrastive(data: EmbeddingSet, cfg: TrainConfig) -> TrainResult:
     step = 0
     trace = []
     params_epoch1 = None
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            if idx.size < 2:
-                continue
-            w = work.views(idx.size)
-            np.take(data.values, idx, axis=0, out=w.anchors)
-            for x in (w.x1, w.x2):  # anchors + noise_r * rng.random((b, m))
-                rng.random(out=x)
-                x *= cfg.noise_r
-                x += w.anchors
-            f1, cache1 = forward(params, w.x1, (w.a1, w.f1, w.norms1, work.scratch))
-            f2, cache2 = forward(params, w.x2, (w.a2, w.f2, w.norms2, work.scratch))
-            loss_out = (w.scores, w.g1, w.g2, w.vectors, w.keys, w.mask)
-            loss, g1, g2 = infonce_batch_loss(f1, f2, cfg.m_negatives, rng, loss_out)
-            if not math.isfinite(loss):
-                raise TrainingDivergenceError(f"non-finite loss at step {step}")
-            grads_a = backward(params, cache1, g1, (*work.grads[0], w.da, w.inner, work.scratch))
-            grads_b = backward(params, cache2, g2, (*work.grads[1], w.da, w.inner, work.scratch))
-            for p, d_a, d_b in zip(weights, grads_a, grads_b):  # p - lr * (d_a + d_b)
-                d_a += d_b
-                d_a *= cfg.learning_rate
-                p -= d_a
-            losses.append(loss)
-            step += 1
-        trace.append(float(np.mean(losses)))
-        if epoch == 0:
-            params_epoch1 = params.copy()
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(cfg.epochs):
+                order = rng.permutation(n)
+                losses = []
+                for start in range(0, n, cfg.batch_size):
+                    idx = order[start : start + cfg.batch_size]
+                    if idx.size < 2:
+                        continue
+                    w = work.views(idx.size)
+                    np.take(data.values, idx, axis=0, out=w.anchors)
+                    for x in (w.x1, w.x2):  # anchors + noise_r * rng.random((b, m))
+                        rng.random(out=x)
+                        x *= cfg.noise_r
+                        x += w.anchors
+                    f1, cache1 = forward(params, w.x1, (w.a1, w.f1, w.norms1, work.scratch))
+                    f2, cache2 = forward(params, w.x2, (w.a2, w.f2, w.norms2, work.scratch))
+                    loss_out = (w.scores, w.g1, w.g2, w.vectors, w.keys, w.mask)
+                    loss, g1, g2 = infonce_batch_loss(f1, f2, cfg.m_negatives, rng, loss_out)
+                    grads_a = backward(params, cache1, g1, (*work.grads[0], w.da, w.inner, work.scratch))
+                    grads_b = backward(params, cache2, g2, (*work.grads[1], w.da, w.inner, work.scratch))
+                    for p, d_a, d_b in zip(weights, grads_a, grads_b):  # p - lr * (d_a + d_b)
+                        d_a += d_b
+                        d_a *= cfg.learning_rate
+                        p -= d_a
+                    losses.append(loss)
+                    step += 1
+                trace.append(float(np.mean(losses)))
+                if epoch == 0:
+                    params_epoch1 = params.copy()
+    except FloatingPointError as exc:
+        raise TrainingDivergenceError(f"{exc} at step {step}, learning_rate={cfg.learning_rate}") from None
     return TrainResult(params=params, params_epoch1=params_epoch1, loss_trace=trace)
 
 
@@ -351,8 +354,8 @@ def counterexample_prop53(n: int, k: int, m: int, seed: int = 0):
 
     Returns (pairs, labels, accuracy).
     """
-    if not n >= k >= 2:
-        raise ValueError("need n >= k >= 2")
+    if not (n >= k >= 2 and m >= 1):
+        raise ValueError(f"need n >= k >= 2 and m >= 1, got n={n}, k={k}, m={m}")
     rng = np.random.default_rng(seed)
     features = unit_rows(rng.standard_normal((n, m)))
     label_set = balanced_labels(n, k, rng)

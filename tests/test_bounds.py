@@ -140,6 +140,19 @@ class TestSpectralDiameter:
         with pytest.raises(ValueError):
             spectral_diameter(1.2, 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "lambda1, lambda2_abs, message",
+        [
+            (math.nan, 0.5, "lambda1 must be >= 0 and finite, got nan"),
+            (2.0, math.nan, "lambda2_abs must be >= 0 and finite, got nan"),
+            (math.inf, 0.5, "lambda1 must be >= 0 and finite, got inf"),
+        ],
+    )
+    def test_spectrum_must_be_finite(self, lambda1, lambda2_abs, message):
+        """A NaN or infinite eigenvalue is an error naming it, never a NaN certificate."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spectral_diameter(0.5, lambda1, lambda2_abs)
+
 
 class TestBoundsSpectral:
     def test_matches_radius_with_certificate(self):
@@ -180,6 +193,13 @@ class TestBaselineBounds:
     def test_requires_two_classes(self):
         with pytest.raises(ValueError, match="K >= 2"):
             baseline_bounds(BoundInputs(m_negatives=4, k_classes=1), l_unsup=0.0)
+
+    @pytest.mark.parametrize("l_unsup", [math.nan, math.inf, -math.inf])
+    def test_loss_must_be_finite(self, l_unsup):
+        """A measured loss is finite: NaN or inf is an error naming l_unsup, never
+        a row of NaN or infinite bounds."""
+        with pytest.raises(ValueError, match=f"^l_unsup must be finite, got {l_unsup}$"):
+            baseline_bounds(BoundInputs(k_classes=2, m_negatives=4), l_unsup)
 
     def test_ours_decreasing_in_m(self):
         vals = [baseline_bounds(BoundInputs(m_negatives=m, k_classes=10), 1.0).ours for m in (2, 8, 64, 1024)]

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -287,14 +288,18 @@ class TestRecipes:
         assert rows[0] == ["r", "accuracy"]
 
 
-def _leaf_commands(parser):
-    """Every runnable command path of the parser, e.g. ``"repro fig4"``."""
-    paths = []
+def _leaf_parsers(parser):
+    """Every runnable command path of the parser, e.g. ``"repro fig4"``, with its parser."""
+    leaves = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                paths += [f"{name} {leaf}" for leaf in _leaf_commands(sub)] or [name]
-    return paths
+                below = _leaf_parsers(sub)
+                if not below:
+                    leaves[name] = sub
+                for path, leaf in below.items():
+                    leaves[f"{name} {path}"] = leaf
+    return leaves
 
 
 def _write_inputs(d):
@@ -340,7 +345,7 @@ def _argv_from_manifest(manifest):
 
 class TestManifest:
     def test_every_command_is_covered(self):
-        assert sorted(_leaf_commands(cli.build_parser())) == sorted(REGENERATE)
+        assert sorted(_leaf_parsers(cli.build_parser())) == sorted(REGENERATE)
 
     @pytest.mark.parametrize("command", sorted(REGENERATE))
     def test_manifest_regenerates_the_run(self, command, tmp_path, capsys):
@@ -362,13 +367,81 @@ class TestManifest:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300"]
+NUMERIC_TYPES = (int, float, _int_grid, _float_grid)
+# the names a library error gives an option whose parameter is named otherwise;
+# simulate's radius is its graph's euclidean threshold
+FIELD_NAMES = {
+    "m_grid": ["M", "m_negatives"],
+    "k": ["K"],
+    "l_unsup": ["l_contr"],
+    "var": ["cond_variance"],
+    "noise_r": ["threshold"],
+    "r_grid": ["noise_r", "r"],
+    "n_train": ["n"],
+    "n_test": ["n"],
+    "cap_area": ["area"],
+    "views_per_anchor": ["count"],
+    "dim": ["m"],
+}
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [c for c, p in _leaf_parsers(cli.build_parser()).items() if any(a.type in NUMERIC_TYPES for a in p._actions)],
+)
+def test_numeric_edge_values(command, tmp_path, capsys):
+    """Each numeric option of each command, set in turn to nan, inf, -inf, 0, -1
+    and 1e300 over a tiny run: the exit code is 0, 1 or 2 with no traceback (the
+    test settings turn a RuntimeWarning into one), an exit 1 names the option,
+    stdout and manifest.json are strict JSON, and no CSV of a successful run
+    holds a NaN."""
+    _write_inputs(tmp_path)
+    base = [a.replace("{in}", str(tmp_path)) for a in REGENERATE[command]]
+    options = [a for a in _leaf_parsers(cli.build_parser())[command]._actions if a.type in NUMERIC_TYPES]
+    faults = []
+    for option in options:
+        names = "|".join([option.dest, *FIELD_NAMES.get(option.dest, [])])
+        for value in EDGE_VALUES:
+            case = f"{command} {option.option_strings[0]}={value}"
+            out = tmp_path / f"{option.dest}{EDGE_VALUES.index(value)}"
+            try:
+                rc = main([*command.split(), *base, f"{option.option_strings[0]}={value}", "--out", str(out)])
+            except SystemExit as exc:
+                rc = exc.code
+            except Exception as exc:  # a traceback
+                faults.append(f"{case}: {type(exc).__name__}: {exc}")
+                capsys.readouterr()
+                continue
+            stdout, stderr = capsys.readouterr()
+            if rc not in (0, 1, 2):
+                faults.append(f"{case}: exit {rc}")
+            if rc == 1 and not re.search(rf"\b({names})\b", stderr):
+                faults.append(f"{case}: stderr does not name {names}: {stderr!r}")
+            try:
+                for text in [stdout, *(p.read_text() for p in out.glob("manifest.json"))]:
+                    if text:
+                        json.loads(text, parse_constant=_no_constant)
+            except ValueError as exc:
+                faults.append(f"{case}: {exc}")
+            if rc == 0:
+                for path in out.glob("*.csv"):
+                    if any(cell.lower() == "nan" for row in _read_csv(path) for cell in row):
+                        faults.append(f"{case}: NaN in {path.name}")
+    assert not faults, "\n".join(faults)
+
+
 class TestReadme:
     def test_cli_examples_parse(self):
         block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
         lines = [line for line in block.splitlines() if line.startswith("augoverlap ")]
         parser = cli.build_parser()
         documented = {cli._command(parser.parse_args(shlex.split(line, comments=True)[1:])) for line in lines}
-        assert documented == set(_leaf_commands(parser))
+        assert documented == set(_leaf_parsers(parser))
 
 
 def test_module_entry_point_runs_without_warnings(tmp_path):
@@ -443,11 +516,17 @@ class TestUsageErrors:
             (["simulate", "--n", "10", "--noise-r", "nan", "--trials", "1"], "euclidean threshold must be > 0 and finite, got nan"),
             (["bounds", "--var", "nan", "--l-unsup", "nan"], "l_contr must not be NaN"),
             (["bounds", "--var", "nan"], "cond_variance must be >= 0 and finite, got nan"),
+            (["simulate", "--n", "10", "--noise-r", "0.5", "--trials", "0"], "trials must be >= 1, got 0"),
+            (["simulate", "--n", "10", "--noise-r", "0.5", "--trials", "-1"], "trials must be >= 1, got -1"),
+            (["simulate", "--n", "10", "--noise-r", "0,-1", "--trials", "1"], "noise_r must be >= 0 and finite, got -1.0"),
+            (["repro", "lemma42", "--n", "40", "--dim", "4", "--seeds", "0"], "seeds must be >= 1, got 0"),
+            (["bounds", "--l-unsup", "inf"], "l_unsup must be finite, got inf"),
+            (["repro", "fig7", "--seed", "-1"], "seed must be >= 0 and finite, got -1"),
         ],
     )
     def test_non_finite_option_is_runtime_error(self, argv, message, tmp_path, capsys):
-        """A NaN or inf option, or d = 0, exits 1 with the field's name, no
-        traceback and no output file."""
+        """A NaN or inf option, d = 0, a negative radius or seed, or no trials,
+        exits 1 with the field's name, no traceback and no output file."""
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

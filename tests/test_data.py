@@ -297,6 +297,29 @@ def test_unit_rows_names_the_zero_row(layout):
         unit_rows(x)
 
 
+@pytest.mark.parametrize("layout", "CF")
+def test_unit_rows_scales_a_row_whose_squares_overflow(layout):
+    """A finite row whose squared norm overflows is divided by its largest magnitude
+    first, so it comes back unit-norm, not zero; other rows keep numpy's bits."""
+    x = np.asarray(np.random.default_rng(0).standard_normal((5000, 16)), order=layout)
+    x[4321] *= 1e200
+    unit = unit_rows(x)
+    with np.errstate(over="ignore"):  # numpy's norm of that row is inf
+        expected = x / np.linalg.norm(x, axis=1, keepdims=True)
+    rest = np.arange(5000) != 4321
+    assert np.array_equal(unit[rest], expected[rest]) and not expected[4321].any()
+    scaled = x[4321] / 1e200
+    np.testing.assert_allclose(unit[4321], scaled / np.linalg.norm(scaled), rtol=1e-15, atol=0)
+
+
+def test_narrow_sq_distances_saturate_at_inf():
+    """Width <= 3: a squared distance beyond float range is inf, without a warning."""
+    a = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+    d2 = sq_distances(a)
+    assert d2[0, 1] == d2[1, 0] == np.inf and d2[0, 2] == d2[2, 0] == np.inf
+    assert d2[0, 0] == 0.0 and d2[2, 2] == 0.0
+
+
 def _peak_bytes(call):
     tracemalloc.start()
     try:
@@ -594,7 +617,7 @@ class TestParseErrors:
 
 
 def _per_row_matrix(lines, rows, cols, path):
-    """Reference for EMB and VIEWS rows: the per-value parser the block parse replaced."""
+    """Reference for EMB and VIEWS rows: the per-value parser that loadtxt replaced."""
     if len(lines) - 2 < rows:
         raise ParseError(f"{path}: line {len(lines) + 1}: expected {rows} data rows, found {len(lines) - 2}")
     if len(lines) - 2 > rows:
@@ -658,10 +681,16 @@ TOKENS = [
     *["1_0", "+.5", "5.", "1e-400", "4.9e-324", "\u0661", "-0", "00", "1.0000000000000002"],
     *["-1", "3", "99999999999999999999", "-99999999999999999999", "1e3"],
 ]
-MUTATIONS = ["drop", "extra", "replace", "missing", "trailing", "spaces", "crlf"]
+MUTATIONS = ["drop", "extra", "replace", "missing", "trailing", "spaces", "crlf", "separator"]
+# characters that join a row's fields: Python's whitespace beyond the space, which
+# str.split splits on, and lookalikes that it does not split on
+SEPARATORS = [
+    *["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2000", "\u2028", "\u3000"],
+    *["\u200b", "\ufeff"],
+]
 
 
-def _mutate(lines, op, row, field, token):
+def _mutate(lines, op, row, field, token, separator):
     """Apply one mutation to the data rows (lines[2:]) of a file."""
     if len(lines) == 2:
         return
@@ -684,7 +713,7 @@ def _mutate(lines, op, row, field, token):
         fields[-1] += "  "
     elif op == "crlf":
         fields[-1] += "\r"
-    lines[r] = " ".join(fields)
+    lines[r] = (separator if op == "separator" else " ").join(fields)
 
 
 @settings(max_examples=300, deadline=None)
@@ -695,20 +724,26 @@ def _mutate(lines, op, row, field, token):
     m=st.integers(1, 5),
     k=st.integers(1, 4),
     special=st.floats(allow_nan=False, allow_infinity=False),
-    block=st.sampled_from([1, 2, 5, 1 << 16]),
     mutations=st.lists(
-        st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 40), st.integers(0, 5), st.sampled_from(TOKENS)),
+        st.tuples(
+            st.sampled_from(MUTATIONS),
+            st.integers(0, 40),
+            st.integers(0, 5),
+            st.sampled_from(TOKENS),
+            st.sampled_from(SEPARATORS),
+        ),
         max_size=3,
     ),
     crlf_file=st.booleans(),
     seed=st.integers(0, 2**31),
 )
-def test_block_parse_matches_per_row_reference(
-    tmp_path_factory, kind, n, c, m, k, special, block, mutations, crlf_file, seed
-):
-    """On canonical and mutated files the loaders return the per-row reference's
-    bits or raise its ParseError text; small block sizes put the first bad line in
-    a later block."""
+# every data row blank, which loadtxt would warn about
+@example(kind="lab", n=1, c=1, m=1, k=2, special=0.0, mutations=[("drop", 0, 0, "1", " ")], crlf_file=False, seed=0)
+@example(kind="views", n=1, c=1, m=1, k=1, special=0.0, mutations=[("drop", 0, 0, "1", " "), ("spaces", 0, 0, "1", " ")], crlf_file=True, seed=0)
+def test_block_parse_matches_per_row_reference(tmp_path_factory, kind, n, c, m, k, special, mutations, crlf_file, seed):
+    """On canonical and mutated files, fields joined by any whitespace or lookalike
+    included, the loaders return the per-row reference's bits or raise its
+    ParseError text."""
     rng = np.random.default_rng(seed)
     path = tmp_path_factory.mktemp("parse") / f"x.{kind}"
     if kind == "lab":
@@ -725,20 +760,43 @@ def test_block_parse_matches_per_row_reference(
     for mutation in mutations:
         _mutate(lines, *mutation)
     path.write_bytes(("\r\n" if crlf_file else "\n").join([*lines, ""]).encode("utf-8"))
+    _assert_loads_like_reference(kind, path)
 
+
+@pytest.mark.parametrize("separator", SEPARATORS)
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_each_separator_matches_per_row_reference(tmp_path, kind, separator):
+    """The middle row's fields joined by each separator (a LAB row gets a second
+    field): the loaders give the per-row reference's bits or its ParseError text."""
+    path = tmp_path / f"x.{kind}"
+    values = np.random.default_rng(0).standard_normal((3, 4))
+    if kind == "lab":
+        save_labels(LabelSet(np.array([0, 1, 1]), k=2), path)
+    elif kind == "emb":
+        save_embeddings(EmbeddingSet(values), path)
+    else:
+        save_views(ViewSet(values, n=1, c=3), path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    if kind == "lab":
+        _mutate(lines, "extra", 1, 0, "1", separator)
+    _mutate(lines, "separator", 1, 0, "1", separator)
+    path.write_text("\n".join([*lines, ""]), encoding="utf-8")
+    _assert_loads_like_reference(kind, path)
+
+
+def _assert_loads_like_reference(kind, path):
     try:
         expected = _reference_load(kind, path)
     except ParseError as exc:
         expected = exc
-    with mock.patch.object(data, "_BLOCK_VALUES", block):
-        if isinstance(expected, ParseError):
-            with pytest.raises(ParseError) as exc:
-                LOADERS[kind](path)
-            assert str(exc.value) == str(expected)
-        else:
-            got = LOADERS[kind](path)
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as exc:
+            LOADERS[kind](path)
+        assert str(exc.value) == str(expected)
+    else:
+        got = LOADERS[kind](path)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_loader_memory_is_bounded(tmp_path):

@@ -50,6 +50,12 @@ class TestGeomConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             GeomConfig(**kwargs)
 
+    def test_centers_must_have_d_columns(self):
+        """Unit-norm centers of another width fail in the config, naming the field,
+        not later inside the cap sampler's rotation."""
+        with pytest.raises(ValueError, match="^class_centers must have d=3 columns, got 4$"):
+            GeomConfig(d=3, n=10, area=1.0, class_centers=np.eye(4)[:2])
+
     def test_centers_are_a_frozen_c_contiguous_copy_of_a_fortran_input(self):
         centers = np.asfortranarray(NORTH_SOUTH)
         cfg = GeomConfig(d=3, n=10, area=1.0, class_centers=centers)

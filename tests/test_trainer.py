@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from augoverlap.data import TILE_VALUES, EmbeddingSet, LabelSet
-from augoverlap.errors import DegenerateInputError
+from augoverlap.errors import DegenerateInputError, TrainingDivergenceError
 from augoverlap.geomsim import GeomConfig, sample_caps
 from augoverlap.trainer import (
     EncoderParams,
@@ -138,6 +138,15 @@ class TestTrainConfig:
     def test_batch_size_below_two(self, batch_size):
         with pytest.raises(ValueError, match=f"batch_size must be >= 2 for in-batch negatives, got {batch_size}"):
             TrainConfig(batch_size=batch_size)
+
+
+def test_divergence_names_the_learning_rate():
+    """A step that overflows is a TrainingDivergenceError naming the learning
+    rate, not a warning and encoder weights that map every row to zero."""
+    emb, _ = sample_caps(GeomConfig(d=3, n=60, area=1.0, class_centers=NORTH_SOUTH, seed=0))
+    cfg = TrainConfig(epochs=2, batch_size=32, hidden_size=8, out_dim=4, learning_rate=1e300)
+    with pytest.raises(TrainingDivergenceError, match=r"^overflow encountered in .* at step 1, learning_rate=1e\+300$"):
+        train_contrastive(emb, cfg)
 
 
 class TestForward:
