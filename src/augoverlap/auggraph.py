@@ -6,7 +6,8 @@ within the threshold (euclidean metric) or at least as similar as the
 threshold (cosine metric). The threshold is recorded on the graph so runs
 stay comparable. Distances come from ``data.sq_distances``, whose bits do not
 depend on the call shape for views of width <= 3, so one-view anchors are
-connected at threshold ``geomsim.longest_mst_edge(points)``.
+connected at threshold ``geomsim.longest_mst_edge(points)``. ``build_graph`` writes whole
+anchor blocks into one n x n matrix, sets inf on and below its diagonal by one mask, scores it in place.
 
 Every graph quantity is computed from one representation, the dense boolean
 adjacency returned by ``AugGraph.neighbors()``: components by a frontier
@@ -71,7 +72,7 @@ class GraphStats:
 
 def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> AugGraph:
     """Threshold the minimum inter-anchor view distance (or maximum similarity),
-    kept for i < j in ``scores[i, j]`` (inf / -inf on and below the diagonal)."""
+    kept for i < j in ``scores[i, j]``; one mask makes it inf / -inf on and below the diagonal."""
     if metric not in ("euclidean", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
     if views.n < 2:
@@ -84,22 +85,19 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
         require_normalized(views)
 
     n, c = views.n, views.c
-    closest = np.full((n, n), INF)  # min squared view distance, filled above the diagonal
+    scores = np.empty((n, n))  # min squared view distance above the diagonal, then the score
     lo = 0
     while lo < n - 1:  # a block of anchors lo..hi-1 against anchors lo+1.., about one tile of distances
         rest = n - lo - 1
         hi = min(lo + max(1, TILE_VALUES // (c * c * rest)), n - 1)
         others = views.stacked()[lo + 1 :].transpose(1, 0, 2).reshape(-1, views.m)  # view-major
-        d = sq_distances(views.values[lo * c : hi * c], others).reshape(hi - lo, c * c, rest).min(axis=1)
-        for r in range(hi - lo):  # the block's upper triangle: anchor lo+r against anchors lo+r+1..
-            closest[lo + r, lo + r + 1 :] = d[r, r:]
+        scores[lo:hi, lo + 1 :] = sq_distances(views.values[lo * c : hi * c], others).reshape(hi - lo, c * c, rest).min(axis=1)
         lo = hi
+    scores[np.tri(n, dtype=bool)] = INF  # on and below the diagonal, including what the blocks wrote there
     if metric == "euclidean":
-        scores = np.sqrt(closest)
-        hits = scores <= threshold
-    else:  # u.v = 1 - |u - v|^2 / 2 on unit rows
-        scores = 1.0 - closest / 2.0
-        hits = scores >= threshold
+        hits = np.sqrt(scores, out=scores) <= threshold
+    else:  # u.v = 1 - |u - v|^2 / 2 on unit rows, in place: x / -2 + 1 has the bits of 1 - x / 2
+        hits = np.add(np.divide(scores, -2.0, out=scores), 1.0, out=scores) >= threshold
     edges = frozenset(zip(*(idx.tolist() for idx in np.nonzero(hits))))
     return AugGraph(n=n, edges=edges, threshold=threshold, metric=metric, scores=scores)
 

@@ -241,33 +241,35 @@ def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Squared euclidean distances between the rows of ``a`` and ``b`` (default ``a``).
 
     Width <= 3 sums one coordinate at a time, so a pair's bits do not depend on the
-    call shape; wider rows use the BLAS expansion |a|^2 + |b|^2 - 2 a.b clipped at 0.
-    The square form is exactly symmetric for every width. Beyond the result, the
-    work runs in place one row tile at a time (``TILE_VALUES`` values), so the only
-    temporaries are one tile buffer and the row norms. The bits are those of the
-    one-shot expressions, since t - 2g == t + (-2g) and 0.0 + s == s for the
-    first column's square s."""
+    call shape; wider rows use the BLAS expansion |a|^2 + |b|^2 - 2 a.b clipped at 0,
+    unless the largest squared norms of ``a`` and ``b`` sum beyond float range (the
+    expansion would give inf - inf): such inputs take the column sum too, where a
+    squared distance beyond float range is inf. The square form is exactly symmetric
+    for every width. Beyond the result, the work runs in place one row tile at a time
+    (``TILE_VALUES`` values), so the only temporaries are one tile buffer and the row
+    norms. The bits are those of the one-shot expressions, since t - 2g == t + (-2g)
+    and 0.0 + s == s for the first column's square s."""
     b = a if b is None else b
-    narrow = 0 < a.shape[1] <= 3  # zero-width rows take the product, which is all zeros
-    out = np.empty((a.shape[0], b.shape[0])) if narrow else a @ b.T  # a @ a.T runs as one symmetric product
-    tiles = list(row_tiles(*out.shape))
-    buf = np.empty((tiles[0][1] if tiles else 0, out.shape[1]))
-    if not narrow:
-        sa = sq_norms(a)
-        sb = sa if b is a else sq_norms(b)
-        for lo, hi in tiles:
-            o, t = out[lo:hi], buf[: hi - lo]
-            np.add(sa[lo:hi, None], sb[None, :], out=t)
-            o *= -2.0
-            o += t
-            np.maximum(o, 0.0, out=o)
-        return out
     with np.errstate(over="ignore"):  # a squared distance beyond float range is inf
+        by_column = 0 < a.shape[1] <= 3  # zero-width rows take the product, which is all zeros
+        if not by_column:
+            sa = sq_norms(a)
+            sb = sa if b is a else sq_norms(b)
+            by_column = not np.isfinite(sa.max(initial=0.0) + sb.max(initial=0.0))
+        out = np.empty((a.shape[0], b.shape[0])) if by_column else a @ b.T  # a @ a.T runs as one symmetric product
+        tiles = list(row_tiles(*out.shape))
+        buf = np.empty((tiles[0][1] if tiles else 0, out.shape[1]))
         for lo, hi in tiles:
             o, t = out[lo:hi], buf[: hi - lo]
-            np.square(np.subtract(a[lo:hi, 0, None], b[None, :, 0], out=o), out=o)
-            for k in range(1, a.shape[1]):
-                o += np.square(np.subtract(a[lo:hi, k, None], b[None, :, k], out=t), out=t)
+            if by_column:
+                np.square(np.subtract(a[lo:hi, 0, None], b[None, :, 0], out=o), out=o)
+                for k in range(1, a.shape[1]):
+                    o += np.square(np.subtract(a[lo:hi, k, None], b[None, :, k], out=t), out=t)
+            else:
+                np.add(sa[lo:hi, None], sb[None, :], out=t)
+                o *= -2.0
+                o += t
+                np.maximum(o, 0.0, out=o)
     return out
 
 

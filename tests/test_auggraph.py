@@ -1,6 +1,7 @@
 """Graph construction, connectivity, diameters, bipartiteness and spectra."""
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -33,6 +34,30 @@ def _graph_from_edges(n, edges):
 
 def _path_adj(n):
     return _graph_from_edges(n, {(i, i + 1) for i in range(n - 1)}).neighbors()
+
+
+def _blockwise_reference(views, threshold, metric):
+    """(scores, edges) by a two-matrix reference: a full matrix of inf, each anchor's
+    row of its block's upper triangle copied in a Python loop, then a second matrix
+    for the scores."""
+    n, c = views.n, views.c
+    closest = np.full((n, n), np.inf)
+    lo = 0
+    while lo < n - 1:
+        rest = n - lo - 1
+        hi = min(lo + max(1, TILE_VALUES // (c * c * rest)), n - 1)
+        others = views.stacked()[lo + 1 :].transpose(1, 0, 2).reshape(-1, views.m)
+        d = sq_distances(views.values[lo * c : hi * c], others).reshape(hi - lo, c * c, rest).min(axis=1)
+        for r in range(hi - lo):
+            closest[lo + r, lo + r + 1 :] = d[r, r:]
+        lo = hi
+    if metric == "euclidean":
+        scores = np.sqrt(closest)
+        hits = scores <= threshold
+    else:
+        scores = 1.0 - closest / 2.0
+        hits = scores >= threshold
+    return scores, frozenset(zip(*(idx.tolist() for idx in np.nonzero(hits))))
 
 
 class TestBuildGraph:
@@ -94,6 +119,52 @@ class TestBuildGraph:
             hits = scores[upper] <= threshold if metric == "euclidean" else scores[upper] >= threshold
             assert g.edges == {(i, j) for i, j, hit in zip(*upper, hits) if hit}
             assert g.edges  # the duplicates at least
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        c=st.integers(1, 6),
+        m=st.integers(1, 6),
+        decimals=st.sampled_from([None, 0, 1]),
+        seed=st.integers(0, 2**31),
+        pick=st.floats(0.0, 1.0),
+    )
+    def test_one_matrix_matches_blockwise_reference(self, n, c, m, decimals, seed, pick):
+        """The scores' bits and the edges of the two-matrix reference, for
+        both metrics, with rounded values (ties and duplicate views) and a threshold
+        equal to one of the scores, so the comparison at the threshold decides ties."""
+        v = np.random.default_rng(seed).standard_normal((n * c, m))
+        if decimals is not None:
+            v = np.round(v, decimals) + 0.25  # never zero, so normalize takes every row
+        for metric, views in (("euclidean", ViewSet(v, n=n, c=c)), ("cosine", normalize(ViewSet(v, n=n, c=c)))):
+            ref, _ = _blockwise_reference(views, 1.0, metric)
+            upper = np.sort(ref[np.triu_indices(n, 1)])
+            threshold = float(upper[int(pick * (upper.size - 1))])
+            if metric == "euclidean":
+                threshold = max(threshold, 5e-324)
+            else:
+                threshold = max(threshold, float(np.nextafter(-1.0, 0.0)))
+            ref, ref_edges = _blockwise_reference(views, threshold, metric)
+            g = build_graph(views, threshold, metric)
+            assert g.scores.tobytes() == ref.tobytes()
+            assert g.edges == ref_edges
+
+    @pytest.mark.parametrize("metric, threshold", [("euclidean", 1e-3), ("cosine", 1.0)])
+    def test_peak_memory_is_one_score_matrix(self, metric, threshold):
+        """Beyond the views, build_graph at n=1000, c=10 with almost no edges holds
+        one n x n float matrix plus small temporaries (the triangle mask, the hits
+        and one block of distances), under 1.3 n^2 floats; separate distance and score
+        matrices exceed it (2.13 n^2 floats euclidean, 3.00 cosine)."""
+        n, c = 1000, 10
+        views = normalize(ViewSet(np.random.default_rng(0).standard_normal((n * c, 3)), n=n, c=c))
+        tracemalloc.start()
+        try:
+            g = build_graph(views, threshold, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.edges) < n
+        assert peak < 1.3 * 8 * n * n, peak / (8 * n * n)
 
     def test_cosine_requires_normalized(self):
         views = ViewSet(np.array([[2.0, 0.0], [0.0, 2.0]]), n=2, c=1)

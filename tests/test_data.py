@@ -320,6 +320,17 @@ def test_narrow_sq_distances_saturate_at_inf():
     assert d2[0, 0] == 0.0 and d2[2, 2] == 0.0
 
 
+def test_wide_sq_distances_with_overflowing_norms_take_the_column_sum():
+    """Width > 3 rows whose squared norms overflow give the width-3 result of the same
+    rows padded with a zero column (inf and 0, never the expansion's NaN), with no
+    warning; two huge rows 1 apart are exactly 1 apart squared."""
+    a = np.array([[1e200, 0, 0, 0.0], [0, 1e200, 0, 0], [1.0, 0, 0, 0]])
+    assert sq_distances(a).tobytes() == sq_distances(a[:, :3]).tobytes()
+    assert sq_distances(a[:2], a).tobytes() == sq_distances(a[:2, :3], a[:, :3]).tobytes()
+    huge = np.array([[1e200, 0, 0, 0.0], [1e200, 1, 0, 0]])
+    assert sq_distances(huge).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 def _peak_bytes(call):
     tracemalloc.start()
     try:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from augoverlap.auggraph import build_graph, connected_components
 from augoverlap.data import EmbeddingSet, ViewSet
@@ -88,6 +89,23 @@ class TestSampleCaps:
         # every point within the cap's angular radius of the center
         cos_min = 1.0 - 0.5 / (2.0 * math.pi)
         assert np.all(emb.values @ center[0] >= cos_min - 1e-9)
+
+    def test_cap_coordinates_are_uniform(self):
+        """Statistical oracle: in a frame around each class center, z = p . center is
+        uniform on [z_low, 1] and the azimuth uniform on [0, 2 pi) (KS tests, each
+        passing at p >= 1e-6, so a correct sampler fails with probability about 4e-6).
+        The second center is off the pole, so its points were rotated."""
+        centers = np.array([[0.0, 0.0, 1.0], [2 / 3, -1 / 3, 2 / 3]])
+        cfg = GeomConfig(d=3, n=4000, area=2.0, class_centers=centers, seed=11)
+        emb, lab = sample_caps(cfg)
+        z_low = 1.0 - cfg.area / (2.0 * math.pi)
+        for k, center in enumerate(centers):
+            e1 = np.cross(center, [1.0, 0.0, 0.0] if abs(center[0]) < 0.9 else [0.0, 1.0, 0.0])
+            e1 /= math.sqrt(e1 @ e1)
+            points = emb.values[lab.labels == k]
+            phi = np.arctan2(points @ np.cross(center, e1), points @ e1) % (2.0 * math.pi)
+            assert scipy.stats.kstest(points @ center, "uniform", args=(z_low, 1.0 - z_low)).pvalue >= 1e-6
+            assert scipy.stats.kstest(phi, "uniform", args=(0.0, 2.0 * math.pi)).pvalue >= 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError, match="d=3"):
