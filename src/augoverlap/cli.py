@@ -132,7 +132,7 @@ def cmd_metrics(args) -> int:
     if (args.a1, args.a2) not in variants:
         variants.insert(0, (args.a1, args.a2))
     cfgs = [metrics.MetricConfig(a1=a1, a2=a2, k=args.k) for a1, a2 in variants]
-    # one view set after the other, so one distance matrix is alive at a time
+    # one view set after the other, so one set of tiles is alive at a time
     acr_final, gacr_final = metrics.confusion_ratios(final_views, cfgs)
     acr_init, gacr_init = metrics.confusion_ratios(init_views, cfgs)
     report = {

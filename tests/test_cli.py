@@ -480,6 +480,35 @@ def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_metrics_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """The confusion core's tile products on wide views, and so metrics.json, have
+    the same bytes under one and two BLAS threads."""
+    src = Path(augoverlap.__file__).resolve().parents[1]
+    n, c, width = 200, 10, 256
+    assert len(metrics._anchor_tiles(n, c)) > 2  # several diagonal and off-diagonal tiles
+    # 3-D views lifted to the width, so the ratios lie strictly between 0 and 1
+    rng = np.random.default_rng(0)
+    anchors, lift = np.repeat(rng.standard_normal((n, 3)), c, axis=0), rng.standard_normal((3, width))
+    for tag, noise in (("f", 0.05), ("i", 0.3)):
+        views = (anchors + noise * rng.standard_normal(anchors.shape)) @ lift
+        save_views(ViewSet(views, n=n, c=c), tmp_path / f"{tag}.views")
+    argv = ["metrics", "--views-final", str(tmp_path / "f.views"), "--views-init", str(tmp_path / "i.views"), "--k", "3"]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "augoverlap.cli", *argv, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "metrics.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert 0.0 < _read_json(tmp_path / "threads1" / "metrics.json")["acr_final"] < 1.0
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -268,6 +268,15 @@ class TestAugment:
         d2 = augment(anchors, 1.0, 2, seed=3).values - np.repeat(anchors.values, 2, axis=0)
         np.testing.assert_allclose(d2, 2.0 * d1)
 
+    @pytest.mark.parametrize("r", [0.3, 2.0])
+    def test_noise_is_uniform_on_the_unit_cube(self, rng, r):
+        """Per coordinate, (view - anchor) / r is U(0, 1): a Kolmogorov-Smirnov test
+        on 3000 values per coordinate keeps p >= 1e-6."""
+        anchors = EmbeddingSet(rng.standard_normal((300, 3)))
+        noise = (augment(anchors, r, 10, seed=7).stacked() - anchors.values[:, None, :]) / r
+        for k in range(3):
+            assert scipy.stats.kstest(noise[..., k].ravel(), "uniform").pvalue >= 1e-6, k
+
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_non_finite_strength(self, rng, r):
         with pytest.raises(ValueError, match=f"^r must be >= 0 and finite, got {r}$"):

@@ -317,6 +317,25 @@ class TestMcNegativeTerm:
         assert err_large < err_small
         assert err_large <= math.e / math.sqrt(256)
 
+    @pytest.mark.parametrize("k, m_negatives", [(3, 2), (2, 3)])
+    def test_single_trials_average_to_the_exact_expectation(self, k, m_negatives):
+        """The mean of 2000 single-trial estimates lies within 4.5 standard errors of
+        the estimator's exact expectation, the mean over anchors and over all K^M
+        equally likely class tuples of the log-mean-exp. mce_negative_term is not
+        the reference: the log of a mean over M draws sits below it by a Jensen
+        gap of order 1/M."""
+        rng = np.random.default_rng(11)
+        n = 12
+        lab = LabelSet(np.arange(n) % k, k=k)
+        centers = np.eye(3)[:k] * np.linspace(0.5, 4.0, k)[:, None]  # the last class is the tightest
+        e = normalize(EmbeddingSet(centers[lab.labels] + rng.standard_normal((n, 3))))
+        scores = e.values @ class_means(e.values, lab).T  # (n, k)
+        tuples = np.array(list(itertools.product(range(k), repeat=m_negatives)))  # (K^M, M)
+        expected = float(np.mean(np.log(np.mean(np.exp(scores[:, tuples]), axis=-1))))
+        samples = np.array([mc_negative_term(e, lab, m_negatives, seed=seed) for seed in range(2000)])
+        z = (samples.mean() - expected) / (samples.std(ddof=1) / np.sqrt(samples.size))
+        assert abs(z) <= 4.5, (z, samples.mean(), expected)
+
     def test_validation(self):
         pairs = synth.ci_pairs(20, 2, 4, seed=0)
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Confusion ratios, relative variants, Pearson correlation and the CI-ratio."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from augoverlap import synth
-from augoverlap.data import ViewSet, sq_distances
+from augoverlap import metrics, synth
+from augoverlap.data import TILE_VALUES, ViewSet, sq_distances, sq_norms
 from augoverlap.errors import UndefinedMetricError
 from augoverlap.metrics import STATS, MetricConfig, acr, arc, ci_ratio, confusion_ratios, gacr, garc, pearson
 
@@ -41,6 +44,38 @@ def _acr_full_matrix(views):
     d_in = np.where(same, dist, -np.inf).max(axis=1)
     d_out = np.where(same, np.inf, dist).min(axis=1)
     return float(np.mean(d_out <= d_in))
+
+
+def _confusions_full_matrix(views, cfgs):
+    """The untiled confusion core, kept as the reference: the whole (n, c, n, c)
+    distance matrix from one square call and an (n, n, c) reduction of it per a2."""
+    n, c = views.n, views.c
+    d4 = sq_distances(views.values).reshape(n, c, n, c)
+    anchors = np.arange(n)
+    siblings = d4[anchors, :, anchors][:, ~np.eye(c, dtype=bool)].reshape(n, c, c - 1)
+    out = [None] * len(cfgs)
+    for a2 in dict.fromkeys(cfg.a2 for cfg in cfgs):
+        foreign = STATS[a2](d4, axis=1)  # (n_j, n_i, c)
+        foreign[anchors, anchors] = np.inf
+        for i, cfg in enumerate(cfgs):
+            if cfg.a2 == a2:
+                kth = foreign.min(axis=0) if cfg.k == 1 else np.partition(foreign, cfg.k - 1, axis=0)[cfg.k - 1]
+                out[i] = kth, STATS[cfg.a1](siblings, axis=-1)
+    return out
+
+
+def _all_configs(n):
+    return [MetricConfig(a1, a2, k) for a1 in STATS for a2 in STATS for k in sorted({1, min(2, n - 1), n - 1})]
+
+
+# values per tile that force one anchor per tile, a few anchors per tile, and the module's own
+SMALL_TILES = [1, 16, 100, TILE_VALUES]
+
+# A tile pair off the diagonal is a general product and the diagonal tile a smaller
+# symmetric one, so on rows wider than 3 a squared distance may move by a few ulp
+# of the squared norms from the whole matrix's symmetric product; the tolerance,
+# relative to the largest squared row norm, allows 2^9 ulp of it.
+RELATIVE_ATOL = 2.0**-43
 
 
 class TestMetricConfig:
@@ -97,6 +132,101 @@ class TestAcr:
             acr(_views([[0.0], [1.0]], n=1, c=2))
         with pytest.raises(ValueError, match="2 views"):
             acr(_views([[0.0], [1.0]], n=2, c=1))
+
+
+class TestConfusionTiles:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        c=st.integers(2, 10),
+        m=st.integers(1, 40),
+        tile_values=st.sampled_from(SMALL_TILES),
+        seed=st.integers(0, 2**31),
+    )
+    @example(n=5, c=9, m=2, tile_values=1, seed=0)  # a mean over 8 siblings and 9 foreign views, 1-anchor tiles
+    @example(n=12, c=3, m=64, tile_values=16, seed=1)  # wide integer rows, 2-anchor tiles
+    def test_tiles_match_full_matrix_bits(self, n, c, m, tile_values, seed):
+        """Width <= 3 sums each distance one coordinate at a time, and integer-valued
+        rows have exact products in any order, so there every tile layout gives the
+        full matrix's bits for every (a1, a2, k)."""
+        values = np.random.default_rng(seed).standard_normal((n * c, m)) * 3.0
+        if m > 3:
+            values = np.round(values)
+        v = ViewSet(values, n=n, c=c)
+        cfgs = _all_configs(n)
+        with mock.patch.object(metrics, "TILE_VALUES", tile_values):
+            got = metrics._confusions(v, cfgs)
+        for cfg, (kth, d_in), (ref_kth, ref_d_in) in zip(cfgs, got, _confusions_full_matrix(v, cfgs)):
+            np.testing.assert_array_equal(kth, ref_kth, err_msg=str(cfg))
+            np.testing.assert_array_equal(d_in, ref_d_in, err_msg=str(cfg))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        c=st.integers(2, 8),
+        m=st.integers(4, 64),
+        unit=st.booleans(),
+        tile_values=st.sampled_from(SMALL_TILES),
+        seed=st.integers(0, 2**31),
+    )
+    def test_wide_float_tiles_within_tolerance(self, n, c, m, unit, tile_values, seed):
+        """On wide float rows each statistic stays within the stated tolerance of the
+        full matrix's, so a view's confusion can only flip where its two statistics
+        lie within twice the tolerance of each other, in ACR and in GACR alike."""
+        values = np.random.default_rng(seed).standard_normal((n * c, m))
+        if unit:
+            values /= np.sqrt(sq_norms(values))[:, None]
+        v = ViewSet(values, n=n, c=c)
+        atol = RELATIVE_ATOL * float(sq_norms(values).max())
+        cfgs = _all_configs(n)
+        with mock.patch.object(metrics, "TILE_VALUES", tile_values):
+            got = metrics._confusions(v, cfgs)
+        for cfg, (kth, d_in), (ref_kth, ref_d_in) in zip(cfgs, got, _confusions_full_matrix(v, cfgs)):
+            np.testing.assert_allclose(kth, ref_kth, rtol=0, atol=atol, err_msg=str(cfg))
+            np.testing.assert_allclose(d_in, ref_d_in, rtol=0, atol=atol, err_msg=str(cfg))
+            near_tie = np.abs(ref_kth - ref_d_in) <= 2 * atol
+            assert not np.any(((kth <= d_in) != (ref_kth <= ref_d_in)) & ~near_tie), cfg
+            flipped = (np.sqrt(kth) <= np.sqrt(d_in)) != (np.sqrt(ref_kth) <= np.sqrt(ref_d_in))
+            assert not np.any(flipped & ~near_tie), cfg
+
+    def test_each_distance_computed_once(self, monkeypatch):
+        """With one anchor per tile, the n (n + 1) / 2 tile pairs' calls together
+        cover every pair of views exactly once: the square calls their upper
+        triangle and the rectangular calls every entry."""
+        n, c = 7, 3
+        v = ViewSet(np.random.default_rng(0).standard_normal((n * c, 5)), n=n, c=c)
+        covered = np.zeros((n * c, n * c), dtype=int)
+        calls = []
+
+        def first_row(x):
+            return (x.ctypes.data - v.values.ctypes.data) // v.values.strides[0]
+
+        def counting(a, b=None):
+            calls.append(b is None)
+            ra = np.arange(len(a)) + first_row(a)
+            if b is None:
+                covered[np.ix_(ra, ra)] += np.triu(np.ones((len(a), len(a)), dtype=int))
+            else:
+                covered[np.ix_(ra, np.arange(len(b)) + first_row(b))] += 1
+            return sq_distances(a, b)
+
+        monkeypatch.setattr(metrics, "TILE_VALUES", 1)
+        monkeypatch.setattr(metrics, "sq_distances", counting)
+        metrics.confusion_ratios(v, _all_configs(n))
+        assert len(calls) == n * (n + 1) // 2 and sum(calls) == n
+        np.testing.assert_array_equal(covered, np.triu(np.ones_like(covered)))
+
+    def test_peak_memory_is_bounded_by_the_tiles(self):
+        """acr on 1000 anchors of 5 wide views holds tiles of about 1 MB, where the
+        whole (n c)^2 matrix and its (n, n, c) reduction held about 240 MB."""
+        v = ViewSet(np.random.default_rng(0).standard_normal((5000, 256)), n=1000, c=5)
+        tracemalloc.start()
+        try:
+            acr(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 class TestArc:
