@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .data import require_nonnegative
+from .data import require_count, require_nonnegative
 
 E = math.e
 
@@ -50,8 +50,7 @@ class BoundInputs:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         if not self.lambda2_abs <= self.lambda1:
             raise ValueError(f"lambda1 must dominate lambda2_abs, got {self.lambda1} and {self.lambda2_abs}")
-        if self.m_negatives < 1 or self.k_classes < 1:
-            raise ValueError("M and K must be >= 1")
+        require_count(1, M=self.m_negatives, K=self.k_classes)
 
 
 @dataclass(frozen=True)
@@ -165,11 +164,13 @@ def bounds_spectral(inputs: BoundInputs) -> tuple[float, float]:
 
 def collision_probability(m_negatives: int, k_classes: int) -> float:
     """tau_M: probability at least one of M negatives collides with the anchor class."""
+    require_count(1, M=m_negatives, K=k_classes)
     return 1.0 - (1.0 - 1.0 / k_classes) ** m_negatives
 
 
 def coverage_probability(m_plus_one: int, k_classes: int) -> float:
     """v: probability that m_plus_one uniform class draws cover all K classes."""
+    require_count(1, m_plus_one=m_plus_one, K=k_classes)
     if m_plus_one < k_classes:
         return 0.0
     k = k_classes
@@ -181,6 +182,7 @@ def coverage_probability(m_plus_one: int, k_classes: int) -> float:
 
 def expected_log_collisions(m_negatives: int, k_classes: int) -> float:
     """E log(Col + 1) with Col ~ Binomial(M, 1/K)."""
+    require_count(1, M=m_negatives, K=k_classes)
     m, p = m_negatives, 1.0 / k_classes
     log_p, log_q = math.log(p), math.log1p(-p)
     total = 0.0

@@ -152,8 +152,7 @@ def cmd_metrics(args) -> int:
 
 
 def _simulate_rows(d, n, area, r_grid, trials, seed):
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    data.require_count(1, trials=trials)
     rng = np.random.default_rng(seed)
     rows = []
     for r in r_grid:
@@ -287,8 +286,7 @@ def recipe_prop53(args) -> int:
 
 
 def recipe_lemma42(args) -> int:
-    if args.seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {args.seeds}")
+    data.require_count(1, seeds=args.seeds)
     pairs = synth.ci_pairs(args.n, args.k, args.dim, spread=args.spread, seed=args.seed)
     emb, labels = pairs.left, pairs.left_labels
     exact = losses.mce_negative_term(emb, labels)

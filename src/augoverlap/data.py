@@ -83,6 +83,13 @@ def require_nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 
+def require_count(minimum: int, **counts: int) -> None:
+    """Raise a ValueError naming the first of ``counts`` that is below ``minimum``."""
+    for name, value in counts.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """An n x m matrix of feature vectors, one sample per row."""
@@ -116,8 +123,7 @@ class LabelSet:
         lab = np.asarray(self.labels, dtype=np.int64)
         if lab.ndim != 1 or lab.shape[0] < 1:
             raise ValueError("labels must be a non-empty 1-D array")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        require_count(1, k=self.k)
         if lab.min() < 0 or lab.max() >= self.k:
             bad = int(lab[(lab < 0) | (lab >= self.k)][0])
             raise ValueError(f"label {bad} out of range [0, {self.k})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, LabelSet, ViewSet, checked_matrix, require_nonnegative, sq_distances, unit_rows
+from .data import EmbeddingSet, LabelSet, ViewSet, checked_matrix, require_count, require_nonnegative, sq_distances, unit_rows
 
 INF = math.inf
 
@@ -29,10 +29,8 @@ class GeomConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        require_count(1, d=self.d)
+        require_count(2, n=self.n)
         if not 0.0 < self.area < INF:
             raise ValueError(f"area must be > 0 and finite, got {self.area}")
         require_nonnegative(noise_r=self.noise_r)
@@ -107,10 +105,8 @@ def sample_flat(cfg: GeomConfig, rng: np.random.Generator) -> np.ndarray:
 def nn_distance_closed_form(k: int, d: int, area: float, n: int) -> float:
     """Closed-form expectation of the k-th nearest-neighbor distance for n
     uniform points over a region of measure ``area`` (leading-order expansion)."""
-    if n < 3:
-        raise ValueError("formula needs n >= 3")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    require_count(3, n=n)
+    require_count(1, d=d, k=k)
     prefactor = math.gamma(d / 2.0 + 1.0) ** (1.0 / d) / math.sqrt(math.pi)
     ratio = math.exp(math.lgamma(k + 1.0 / d) - math.lgamma(float(k)))
     correction = 1.0 - (1.0 / d + 1.0 / d**2) / (2.0 * (n - 1))
@@ -118,13 +114,14 @@ def nn_distance_closed_form(k: int, d: int, area: float, n: int) -> float:
 
 
 def unit_ball_volume(d: int) -> float:
+    require_count(1, d=d)
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 def connectivity_radius_closed_form(d: int, area: float, n: int) -> float:
     """Asymptotic minimal augmentation strength for a connected graph."""
-    if d < 2:
-        raise ValueError("the connectivity asymptotic requires d >= 2")
+    require_count(2, d=d)
+    require_count(1, n=n)
     return (2.0 * (1.0 - 1.0 / d) * area * math.log(n) / (unit_ball_volume(d) * n**2)) ** (1.0 / d)
 
 
@@ -190,8 +187,7 @@ def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:
     uses the strict isolation (min pairwise) and completeness (max pairwise)
     radii.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    require_count(1, trials=trials)
     rng = np.random.default_rng(cfg.seed)
     nn_means, far_means, mins, maxes, r_mcs = [], [], [], [], []
     for _ in range(trials):
@@ -228,8 +224,7 @@ def augment(points: EmbeddingSet, r: float, count: int, seed: int = 0) -> ViewSe
     onto the sphere.
     """
     require_nonnegative(r=r)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    require_count(1, count=count)
     rng = np.random.default_rng(seed)
     base = rng.random((points.n, count, points.m))
     views = points.values[:, None, :] + r * base

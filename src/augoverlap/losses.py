@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, require_labels, require_nonnegative, require_normalized, row_tiles, sq_norms
+from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, require_count, require_labels, require_nonnegative, require_normalized, row_tiles, sq_norms
 
 # Exact enumeration of the negative draw replaces Monte Carlo whenever the
 # outcome space pool_size**M is at most this many tuples.
@@ -61,13 +61,6 @@ class ClassStats:
 
     def __post_init__(self):
         require_nonnegative(cond_variance=self.cond_variance)
-
-
-def _check_draws(m_negatives: int, trials: int) -> None:
-    if m_negatives < 1:
-        raise ValueError("m_negatives must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
 
 def _log_mean_exp(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -134,7 +127,7 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
     seeded Monte Carlo averaged over ``trials`` resamplings, or exact
     enumeration when the outcome space is small.
     """
-    _check_draws(m_negatives, trials)
+    require_count(1, m_negatives=m_negatives, trials=trials)
     if pairs.n < 2:
         raise ValueError("need at least 2 pairs")
     require_normalized(pairs.left, pairs.right)
@@ -189,7 +182,7 @@ def mc_negative_term(e: EmbeddingSet, labels: LabelSet, m_negatives: int, trials
     estimator whose error against :func:`mce_negative_term` shrinks as
     O(M^-1/2) with an explicit e/sqrt(M) cap.
     """
-    _check_draws(m_negatives, trials)
+    require_count(1, m_negatives=m_negatives, trials=trials)
     require_normalized(e)
     return _mc_log_mean_exp(e.values, class_means(e.values, labels), m_negatives, trials, seed)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TILE_VALUES, PositivePairs, ViewSet, require_labels, require_normalized, sq_distances
+from .data import TILE_VALUES, PositivePairs, ViewSet, require_count, require_labels, require_normalized, sq_distances
 from .errors import UndefinedMetricError
 
 STATS = {
@@ -49,8 +49,7 @@ class MetricConfig:
     def __post_init__(self):
         if self.a1 not in STATS or self.a2 not in STATS:
             raise ValueError(f"statistics must be one of {sorted(STATS)}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        require_count(1, k=self.k)
 
 
 def _anchor_tiles(n: int, c: int) -> list[tuple[int, int]]:
@@ -76,12 +75,14 @@ def _over_views(d: np.ndarray, stat: str) -> np.ndarray:
 
 def _merge(nearest: np.ndarray, candidates: np.ndarray) -> None:
     """Keep in ``nearest`` (rows, c, k) the k smallest, per view, of its own values and
-    those of ``candidates`` (rows, c, m)."""
+    those of ``candidates`` (rows, c, m), partitioning their concatenation in place."""
     k = nearest.shape[-1]
     if k == 1:
         np.minimum(nearest[..., 0], candidates.min(axis=-1), out=nearest[..., 0])
     else:
-        nearest[...] = np.partition(np.concatenate([nearest, candidates], axis=-1), k - 1, axis=-1)[..., :k]
+        merged = np.concatenate([nearest, candidates], axis=-1)
+        merged.partition(k - 1, axis=-1)
+        nearest[...] = merged[..., :k]
 
 
 def _confusions(views: ViewSet, cfgs: Sequence[MetricConfig]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -127,10 +128,11 @@ def _confusions(views: ViewSet, cfgs: Sequence[MetricConfig]) -> list[tuple[np.n
                 else:
                     _merge(near[lo:hi], _over_views(d4, a2))  # (i, a, j): anchor j's statistic for view (i, a)
                 _merge(near[lo2:hi2], theirs.transpose(1, 2, 0))
-    return [
-        (np.partition(nearest[cfg.a2], cfg.k - 1, axis=-1)[..., cfg.k - 1], _over_views(siblings, cfg.a1))
-        for cfg in cfgs
-    ]
+    result = []
+    for cfg in cfgs:  # in place: each row keeps its multiset, so a later k of the same a2 stays exact
+        nearest[cfg.a2].partition(cfg.k - 1, axis=-1)
+        result.append((nearest[cfg.a2][..., cfg.k - 1].copy(), _over_views(siblings, cfg.a1)))
+    return result
 
 
 def _acr(d_out: np.ndarray, d_in: np.ndarray) -> float:

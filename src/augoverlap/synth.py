@@ -16,13 +16,13 @@ import functools
 
 import numpy as np
 
-from .data import EmbeddingSet, LabelSet, PositivePairs, require_nonnegative, unit_rows
+from .data import EmbeddingSet, LabelSet, PositivePairs, require_count, require_nonnegative, unit_rows
 
 
 def class_centers(k: int, m: int, seed: int = 0) -> np.ndarray:
     """k well-separated unit vectors in R^m (orthonormalized when k <= m)."""
-    if k < 1 or m < 2:
-        raise ValueError("need k >= 1 and m >= 2")
+    require_count(1, k=k)
+    require_count(2, m=m)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m, k))
     if k <= m:
@@ -32,6 +32,7 @@ def class_centers(k: int, m: int, seed: int = 0) -> np.ndarray:
 
 
 def balanced_labels(n: int, k: int, rng: np.random.Generator) -> LabelSet:
+    require_count(1, k=k)
     labels = np.tile(np.arange(k), n // k + 1)[:n]
     rng.shuffle(labels)
     return LabelSet(labels, k=k)

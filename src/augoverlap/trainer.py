@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, require_nonnegative, sq_norms, unit_rows
+from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, require_count, require_nonnegative, sq_norms, unit_rows
 from .errors import TrainingDivergenceError
 from .synth import balanced_labels
 
@@ -64,10 +64,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.hidden_size, self.out_dim) < 1:
-            raise ValueError("epochs, hidden_size and out_dim must be >= 1")
+        require_count(1, epochs=self.epochs, hidden_size=self.hidden_size, out_dim=self.out_dim)
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}")
+        if self.m_negatives is not None:
+            require_count(1, m_negatives=self.m_negatives)
         require_nonnegative(learning_rate=self.learning_rate, noise_r=self.noise_r)
 
 
@@ -79,6 +80,7 @@ class TrainResult:
 
 
 def init_params(m_in: int, hidden: int, m_out: int, seed: int = 0) -> EncoderParams:
+    require_count(1, m_in=m_in, hidden=hidden, m_out=m_out)
     rng = np.random.default_rng(seed)
     w1 = rng.standard_normal((m_in, hidden)) / math.sqrt(m_in)
     w2 = rng.standard_normal((hidden, m_out)) / math.sqrt(hidden)
@@ -205,8 +207,7 @@ def infonce_batch_loss(f1: np.ndarray, f2: np.ndarray, m_negatives: int | None =
     if subset:
         if rng is None:
             raise ValueError("m_negatives subsetting needs an rng")
-        if m_negatives < 1:
-            raise ValueError("m_negatives must be >= 1")
+        require_count(1, m_negatives=m_negatives)
     scores, grad_f1, grad_f2, vectors, keys, mask = _loss_out(b, f1.shape[1], subset) if out is None else out
     row_sums, terms, positives = vectors
     np.matmul(f1, f2.T, out=scores)

@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 
 from augoverlap.auggraph import build_graph, connected_components
-from augoverlap.data import EmbeddingSet, ViewSet
+from augoverlap.data import EmbeddingSet, ViewSet, sq_distances
 from augoverlap.geomsim import (
     GeomConfig,
     _sample_points,
@@ -128,6 +128,19 @@ class TestSampleFlat:
         pts = sample_flat(cfg, rng)
         assert pts.shape == (200, 2)
         assert np.all(pts >= 0.0) and np.all(pts <= 2.0)
+
+    @pytest.mark.parametrize("n, trials", [(300, 200), (1000, 100)])
+    def test_closest_pair_follows_the_poisson_law(self, n, trials):
+        """The number of the N(N-1)/2 pairs of N uniform points in the unit square
+        within r is about Poisson with mean N(N-1)pi r^2/2, so that statistic of the
+        closest pair is about Exp(1): a Kolmogorov-Smirnov test keeps p >= 1e-6."""
+        cfg, rng = GeomConfig(d=2, n=n, area=1.0), np.random.default_rng(7)
+        stats = []
+        for _ in range(trials):
+            dist = sq_distances(sample_flat(cfg, rng))
+            np.fill_diagonal(dist, np.inf)
+            stats.append(n * (n - 1) * math.pi * float(dist.min()) / 2.0)
+        assert scipy.stats.kstest(stats, "expon").pvalue >= 1e-6
 
 
 class TestClosedForms:

@@ -228,6 +228,21 @@ class TestConfusionTiles:
             tracemalloc.stop()
         assert peak < 8e6, peak
 
+    def test_peak_memory_at_large_k_stays_near_the_running_array(self):
+        """gacr at k = n - 1 keeps each view's k smallest foreign statistics in one
+        (n, c, k) array, and its merges and final selection partition in place, so the
+        peak stays below 1.5 times that array (2.03 times when each partition copied
+        its input)."""
+        n, c, k = 1000, 5, 999
+        v = ViewSet(np.random.default_rng(0).standard_normal((n * c, 256)), n=n, c=c)
+        tracemalloc.start()
+        try:
+            gacr(v, MetricConfig("max", "min", k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * c * k, peak
+
 
 class TestArc:
     def test_formula(self):
