@@ -81,7 +81,7 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
         raise ValueError(f"euclidean threshold must be > 0 and finite, got {threshold}")
     if metric == "cosine":
         if not -1.0 < threshold <= 1.0:
-            raise ValueError("cosine threshold must lie in (-1, 1]")
+            raise ValueError(f"cosine threshold must lie in (-1, 1], got {threshold}")
         require_normalized(views)
 
     n, c = views.n, views.c

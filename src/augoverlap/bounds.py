@@ -135,7 +135,7 @@ def spectral_diameter(omega: float, lambda1: float, lambda2_abs: float) -> tuple
     * |lambda2| = lambda1 (bipartite signature) -> inf.
     """
     if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
+        raise ValueError(f"omega must lie in [0, 1], got {omega}")
     require_nonnegative(lambda1=lambda1, lambda2_abs=lambda2_abs)
     if omega == 0.0:
         return INF, "disconnected (omega = 0)"
@@ -183,6 +183,8 @@ def coverage_probability(m_plus_one: int, k_classes: int) -> float:
 def expected_log_collisions(m_negatives: int, k_classes: int) -> float:
     """E log(Col + 1) with Col ~ Binomial(M, 1/K)."""
     require_count(1, M=m_negatives, K=k_classes)
+    if k_classes == 1:  # every negative collides: Col = M
+        return math.log(m_negatives + 1)
     m, p = m_negatives, 1.0 / k_classes
     log_p, log_q = math.log(p), math.log1p(-p)
     total = 0.0

@@ -72,11 +72,11 @@ def sample_caps(cfg: GeomConfig) -> tuple[EmbeddingSet, LabelSet]:
     center onto the pole.
     """
     if cfg.d != 3:
-        raise ValueError("cap sampling is defined for the d=3 sphere case")
+        raise ValueError(f"cap sampling is defined for the d=3 sphere case, got {cfg.d}")
     if cfg.class_centers is None:
         raise ValueError("cap sampling requires class centers")
     if cfg.area > 2.0 * math.pi + 1e-12:
-        raise ValueError("cap area must not exceed a hemisphere (2*pi)")
+        raise ValueError(f"cap area must not exceed a hemisphere (2*pi), got {cfg.area}")
     centers = cfg.class_centers
     k = centers.shape[0]
     rng = np.random.default_rng(cfg.seed)

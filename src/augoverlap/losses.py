@@ -4,25 +4,30 @@ Both losses use mean-denominator ("adjusted") form, so their values are
 comparable regardless of the number of negatives M or classes K. Temperature
 is fixed at 1.
 
-The Monte Carlo estimators (``infonce_adjusted`` above ``ENUMERATION_LIMIT``
-and ``mc_negative_term``) stream their scores. They draw the negatives whole
-trials at a time, at most ``DRAW_CHUNK_VALUES`` int32 values per chunk, and for
-each chunk compute ``anchors @ pool.T`` one row tile at a time (about
-``SCORE_TILE_VALUES`` values, at least 2 rows) and gather the chunk's draws from
-that tile. They hold the draw chunk, one score tile, one gather block and the
-chunk's (trials, n) log-mean-exps, never the n x pool score matrix. A seed
-fixes the draws: trial t takes the values ``rng.integers(0, pool, (n, M))``
-would give, in trial order, from one generator seeded with ``seed`` (int32
-chunks of whole trials give the same values). The per-trial means are
+One core, ``_mc_log_mean_exp``, computes every negative term that averages over
+trials the mean over anchors of a log-mean-exp over M scores ``anchors @ pool.T``.
+It takes its draws from a function ``draw(start, k)`` that returns trials
+start..start+k-1 as (k, n, M) pool indices. Monte Carlo (``infonce_adjusted``
+above ``ENUMERATION_LIMIT``, ``mc_negative_term``) calls a generator seeded with
+``seed``: trial t takes the values ``rng.integers(0, pool, (n, M))`` would give,
+in trial order (int32 chunks of whole trials give the same values). Exact
+enumeration (M >= 2, pool**M at most ``ENUMERATION_LIMIT``) is every combination
+once, in ``itertools.product`` order, each one trial broadcast over the anchors;
+at M = 1 the exact term is the closed form mean(anchors) . mean(pool).
+
+The core draws whole trials at a time, at most ``DRAW_CHUNK_VALUES`` per chunk,
+and for each chunk computes ``anchors @ pool.T`` one row tile at a time (about
+``SCORE_TILE_VALUES`` values, at least 2 rows) and gathers the chunk's draws
+from that tile, never holding the n x pool score matrix. The per-trial means are
 added in trial order, so the result has the bits of a loop over the trials on
 the whole score matrix wherever each tile's product has the bits of the same
 rows of the whole product. numpy computes a 1-row product with gemv, so tiles
-have at least 2 rows, and a product that fits in one tile (every
-``mc_negative_term`` call with n*K <= 2^17) is computed whole. OpenBLAS row
-tiles of a larger product are not always bit-equal to it. On the repository's
-shapes (pools of 1000, 2000 and 4000 rows of width 32) they are, and
-tests/test_losses.py compares those estimates with ``==``; elsewhere a score
-can move by an ulp, and an estimate by at most the largest score change.
+have at least 2 rows, and a product that fits in one tile (every enumeration,
+and every ``mc_negative_term`` call with n*K <= 2^17) is computed whole.
+OpenBLAS row tiles of a larger product are not always bit-equal to it. On the
+repository's shapes (pools of 1000, 2000 and 4000 rows of width 32) they are,
+and tests/test_losses.py compares those estimates with ``==``; elsewhere a
+score can move by an ulp, and an estimate by at most the largest score change.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, require_count, require_labels, require_nonnegative, require_normalized, row_tiles, sq_norms
+from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, require_count, require_labels, require_nonnegative, require_normalized, sq_norms
 
 # Exact enumeration of the negative draw replaces Monte Carlo whenever the
 # outcome space pool_size**M is at most this many tuples.
@@ -63,11 +68,6 @@ class ClassStats:
         require_nonnegative(cond_variance=self.cond_variance)
 
 
-def _log_mean_exp(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    # Scores are bounded in [-1, 1] for unit-norm features, exp never overflows.
-    return np.log(np.mean(np.exp(scores), axis=axis))
-
-
 def _score_tiles(n: int, cols: int) -> list[tuple[int, int]]:
     """(lo, hi) bounds of the anchor row tiles of an (n, cols) score matrix: about
     ``SCORE_TILE_VALUES`` values and at least 2 rows each, so a 1-row tail joins the
@@ -78,10 +78,10 @@ def _score_tiles(n: int, cols: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:] + [n]))
 
 
-def _mc_log_mean_exp(anchors: np.ndarray, pool: np.ndarray, m_negatives: int, trials: int, seed: int) -> float:
-    """Seeded Monte Carlo mean over anchors of log-mean-exp over M scores
-    ``anchors @ pool.T`` against pool rows drawn uniformly with replacement,
-    averaged over ``trials`` draws; streamed as the module docstring describes.
+def _mc_log_mean_exp(anchors: np.ndarray, pool: np.ndarray, m_negatives: int, trials: int, draw) -> float:
+    """Mean over ``trials`` trials of the mean over anchors of log-mean-exp over M
+    scores ``anchors @ pool.T`` at the (k, n, M) pool rows ``draw(start, k)``
+    returns; streamed as the module docstring describes.
 
     Within a score tile the draws are gathered a few trials at a time (at most
     ``TILE_VALUES`` values, or one trial of the tile), through flat indices into
@@ -98,11 +98,10 @@ def _mc_log_mean_exp(anchors: np.ndarray, pool: np.ndarray, m_negatives: int, tr
     index_buf = np.empty(per_group * height * m_negatives, dtype=np.intp)
     gather_buf = np.empty(index_buf.size)
     per_anchor = np.empty((per_chunk, n))
-    rng = np.random.default_rng(seed)
     acc = 0.0
     for start in range(0, trials, per_chunk):
         chunk = per_anchor[: min(per_chunk, trials - start)]
-        draws = rng.integers(0, cols, size=(len(chunk), n, m_negatives), dtype=np.int32)
+        draws = draw(start, len(chunk))
         for lo, hi in tiles:
             np.matmul(anchors[lo:hi], pool.T, out=tile_buf[: (hi - lo) * cols].reshape(hi - lo, cols))
             for g in range(0, len(chunk), per_group):
@@ -124,8 +123,9 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
     Negatives are drawn with replacement from the pooled empirical marginal of
     both pair sides (false negatives included, anchors not excluded). The
     expectation over anchors is exact; the expectation over negative draws is
-    seeded Monte Carlo averaged over ``trials`` resamplings, or exact
-    enumeration when the outcome space is small.
+    seeded Monte Carlo averaged over ``trials`` resamplings or, when the
+    outcome space is small, exact: the closed form at M = 1, every combination
+    once at M >= 2.
     """
     require_count(1, m_negatives=m_negatives, trials=trials)
     if pairs.n < 2:
@@ -138,23 +138,17 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
 
     pos_term = -float(np.mean(np.sum(pairs.left.values * pairs.right.values, axis=1)))
 
-    count = pool_size**m_negatives
-    if count <= ENUMERATION_LIMIT:
-        scores = anchors @ pool.T  # (n, pool), at most 64 MB: pool <= ENUMERATION_LIMIT here
-        # Exact expectation over all equiprobable draws, k combinations at a time in
-        # itertools.product order. The draws are gathered (n, k, M), reading each score
-        # row once per chunk; the log-mean-exp over M and, after a transpose to (k, n),
-        # the mean over anchors both reduce a contiguous last axis, and the k means are
-        # added one by one: the bits of a loop over the combinations.
-        total = 0.0
-        for lo, hi in row_tiles(count, pairs.n * m_negatives):
-            combos = np.stack(np.unravel_index(np.arange(lo, hi), (pool_size,) * m_negatives), axis=-1)
-            per_anchor = np.ascontiguousarray(_log_mean_exp(scores[:, combos]).T)  # (k, n)
-            for value in np.mean(per_anchor, axis=-1).tolist():
-                total += value
-        neg_term = total / count
+    n, count = pairs.n, pool_size**m_negatives
+    if count <= ENUMERATION_LIMIT and m_negatives == 1:
+        neg_term = float(anchors.mean(axis=0) @ pool.mean(axis=0))  # log-mean-exp of one score is the score
+    elif count <= ENUMERATION_LIMIT:
+        combos = np.stack(np.unravel_index(np.arange(count), (pool_size,) * m_negatives), axis=-1)  # product order
+        draw = lambda start, k: np.broadcast_to(combos[start : start + k, None], (k, n, m_negatives))
+        neg_term = _mc_log_mean_exp(anchors, pool, m_negatives, count, draw)
     else:
-        neg_term = _mc_log_mean_exp(anchors, pool, m_negatives, trials, seed)
+        rng = np.random.default_rng(seed)
+        draw = lambda start, k: rng.integers(0, pool_size, (k, n, m_negatives), dtype=np.int32)
+        neg_term = _mc_log_mean_exp(anchors, pool, m_negatives, trials, draw)
 
     return LossValue(pos_term + neg_term, components=(pos_term, neg_term))
 
@@ -165,7 +159,7 @@ def mce_adjusted(e: EmbeddingSet, labels: LabelSet) -> LossValue:
     means = class_means(e.values, labels)
     scores = e.values @ means.T  # (n, K)
     pos_term = -float(np.mean(scores[np.arange(e.n), labels.labels]))
-    neg_term = float(np.mean(_log_mean_exp(scores, axis=1)))
+    neg_term = float(np.mean(np.log(np.mean(np.exp(scores), axis=1))))  # scores lie in [-1, 1], exp never overflows
     return LossValue(pos_term + neg_term, components=(pos_term, neg_term))
 
 
@@ -184,7 +178,9 @@ def mc_negative_term(e: EmbeddingSet, labels: LabelSet, m_negatives: int, trials
     """
     require_count(1, m_negatives=m_negatives, trials=trials)
     require_normalized(e)
-    return _mc_log_mean_exp(e.values, class_means(e.values, labels), m_negatives, trials, seed)
+    rng = np.random.default_rng(seed)
+    draw = lambda start, k: rng.integers(0, labels.k, (k, e.n, m_negatives), dtype=np.int32)
+    return _mc_log_mean_exp(e.values, class_means(e.values, labels), m_negatives, trials, draw)
 
 
 def class_stats(e: EmbeddingSet, labels: LabelSet) -> ClassStats:

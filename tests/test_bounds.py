@@ -177,6 +177,11 @@ class TestBaselineHelpers:
         # Col ~ Binomial(1, 1/2): E log(Col+1) = 0.5 log 2
         assert expected_log_collisions(1, 2) == pytest.approx(0.5 * math.log(2.0))
 
+    @pytest.mark.parametrize("m_negatives", [1, 4, 4096])
+    def test_expected_log_collisions_one_class(self, m_negatives):
+        # with one class every negative collides: Col = M
+        assert expected_log_collisions(m_negatives, 1) == math.log(m_negatives + 1)
+
 
 class TestBaselineBounds:
     def test_closed_forms(self):

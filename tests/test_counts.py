@@ -1,6 +1,7 @@
 """Every count of the library's entry points is checked by ``data.require_count``:
 below its minimum the call raises ``ValueError("<name> must be >= <minimum>, got
-<value>")``, and no other module keeps its own integer lower bound."""
+<value>")``, and no other module keeps its own integer lower bound. A value
+outside a real range is named in its error too."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import augoverlap
-from augoverlap import bounds, cli, data, geomsim, losses, metrics, synth, trainer
-from augoverlap.data import EmbeddingSet, LabelSet
+from augoverlap import auggraph, bounds, cli, data, geomsim, losses, metrics, synth, trainer
+from augoverlap.data import EmbeddingSet, LabelSet, ViewSet
 
 
 def _cli(*argv):
@@ -87,7 +88,7 @@ CASES = [
 def test_count_below_its_minimum_names_the_field_and_value(call, name, minimum, tmp_path, monkeypatch):
     """At minimum - 1 the call raises the count error naming the field and value; at
     the minimum it passes that check, so it returns or fails on something else
-    (expected_log_collisions with K = 1 takes log1p(-1), a math domain error)."""
+    (expected_log_collisions at K = 1 returns log(M + 1))."""
     monkeypatch.chdir(tmp_path)  # the cli cases write their outputs to "."
     with pytest.raises(ValueError) as exc:
         call(minimum - 1)
@@ -96,6 +97,31 @@ def test_count_below_its_minimum_names_the_field_and_value(call, name, minimum, 
         call(minimum)
     except ValueError as err:
         assert not str(err).startswith(f"{name} must be >="), err
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (
+            lambda: auggraph.build_graph(ViewSet(np.eye(2)[[0, 0, 1, 1]], n=2, c=2), -1.0, metric="cosine"),
+            "cosine threshold must lie in (-1, 1], got -1.0",
+        ),
+        (lambda: bounds.spectral_diameter(1.5, 1.0, 0.5), "omega must lie in [0, 1], got 1.5"),
+        (
+            lambda: geomsim.sample_caps(geomsim.GeomConfig(d=2, n=10, area=1.0)),
+            "cap sampling is defined for the d=3 sphere case, got 2",
+        ),
+        (
+            lambda: geomsim.sample_caps(geomsim.GeomConfig(d=3, n=10, area=7.0, class_centers=np.eye(3)[:2])),
+            "cap area must not exceed a hemisphere (2*pi), got 7.0",
+        ),
+    ],
+    ids=["cosine-threshold", "omega", "cap-dimension", "cap-area"],
+)
+def test_range_error_names_its_value(call, text):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == text
 
 
 def test_require_count_reports_the_first_count_below_the_minimum():

@@ -245,7 +245,8 @@ class TestEmpiricalRegime:
 
     @pytest.mark.parametrize("centers", [None, NORTH_SOUTH])
     def test_mst_radius_is_longest_mst_edge(self, centers):
-        """The one-pass Prim gives exactly longest_mst_edge on the same draws."""
+        """empirical_regime's dense Prim, on the distance matrix it reads the neighbor
+        statistics from, gives exactly longest_mst_edge on the same draws."""
         cfg = GeomConfig(d=2 if centers is None else 3, n=60, area=1.0, class_centers=centers, seed=4)
         rng = np.random.default_rng(cfg.seed)
         radii = [longest_mst_edge(_sample_points(cfg, rng)) for _ in range(3)]

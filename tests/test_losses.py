@@ -44,6 +44,25 @@ def test_class_stats_variance_must_be_finite():
         losses.ClassStats(np.zeros((1, 2)), math.nan)
 
 
+def _enumeration_case(n, m_negatives, dim, decimals, seed):
+    """Pairs whose pool**M is within the enumeration limit (n shrinks until it is),
+    and their exact negative term as one loop iteration per combination, summed in
+    itertools.product order."""
+    while (2 * n) ** m_negatives > losses.ENUMERATION_LIMIT:
+        n -= 1
+    pool_size = 2 * n
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((2, n, dim)) + 0.05
+    if decimals is not None:
+        raw = np.round(raw, decimals) + 0.05  # ties, and no zero rows
+    pairs = PositivePairs(normalize(EmbeddingSet(raw[0])), normalize(EmbeddingSet(raw[1])))
+    scores = pairs.left.values @ np.vstack([pairs.left.values, pairs.right.values]).T
+    total = 0.0
+    for combo in itertools.product(range(pool_size), repeat=m_negatives):
+        total += float(np.mean(np.log(np.mean(np.exp(scores[:, combo]), axis=1))))
+    return pairs, total / pool_size**m_negatives
+
+
 class TestInfonceAdjusted:
     def test_needs_two_pairs(self):
         one = EmbeddingSet(np.array([[1.0, 0.0]]), normalized=True)
@@ -80,28 +99,39 @@ class TestInfonceAdjusted:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(2, 40),
-        m_negatives=st.integers(1, 6),
+        m_negatives=st.integers(2, 6),
         dim=st.integers(1, 8),
         decimals=st.sampled_from([None, 1]),
         seed=st.integers(0, 2**31),
     )
-    @example(n=2000, m_negatives=1, dim=8, decimals=None, seed=0)  # a pool of 4000 in 250 chunks
+    @example(n=32, m_negatives=2, dim=8, decimals=None, seed=0)  # the largest enumeration: 4096 combinations in one chunk
     def test_enumeration_matches_loop_reference(self, n, m_negatives, dim, decimals, seed):
-        """The chunked exact branch gives the bits of one loop iteration per
-        combination, summed in itertools.product order."""
-        while (2 * n) ** m_negatives > losses.ENUMERATION_LIMIT:
-            n -= 1
-        pool_size = 2 * n
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((2, n, dim)) + 0.05
-        if decimals is not None:
-            raw = np.round(raw, decimals) + 0.05  # ties, and no zero rows
-        pairs = PositivePairs(normalize(EmbeddingSet(raw[0])), normalize(EmbeddingSet(raw[1])))
-        scores = pairs.left.values @ np.vstack([pairs.left.values, pairs.right.values]).T
-        total = 0.0
-        for combo in itertools.product(range(pool_size), repeat=m_negatives):
-            total += float(np.mean(np.log(np.mean(np.exp(scores[:, combo]), axis=1))))
-        assert infonce_adjusted(pairs, m_negatives).components[1] == total / pool_size**m_negatives
+        """At M >= 2 the exact branch, every combination once as one trial of the
+        Monte Carlo core, gives the bits of one loop iteration per combination,
+        summed in itertools.product order."""
+        pairs, expected = _enumeration_case(n, m_negatives, dim, decimals, seed)
+        assert infonce_adjusted(pairs, m_negatives).components[1] == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 40), dim=st.integers(1, 8), decimals=st.sampled_from([None, 1]), seed=st.integers(0, 2**31))
+    @example(n=2000, dim=8, decimals=None, seed=0)  # a pool of 4000
+    def test_closed_form_matches_loop_reference(self, n, dim, decimals, seed):
+        """At M = 1 the exact term is mean(anchors) . mean(pool), the mean of the
+        scores, within 1e-15 of the per-combination loop (measured at most 8e-17)."""
+        pairs, expected = _enumeration_case(n, 1, dim, decimals, seed)
+        assert abs(infonce_adjusted(pairs, 1).components[1] - expected) <= 1e-15
+
+    def test_closed_form_holds_no_score_matrix(self):
+        """At n=2000, M=1 (a pool of 4000 rows of width 32) the exact term peaks
+        below 4 MB; the n x pool score matrix alone would take 64 MB."""
+        pairs = synth.ci_pairs(2000, 10, 32, spread=0.3, seed=0)
+        tracemalloc.start()
+        try:
+            infonce_adjusted(pairs, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
     @pytest.mark.parametrize("n, m_negatives", [(6, 2), (5, 3), (20, 1)])
     def test_monte_carlo_mean_matches_enumeration(self, n, m_negatives):
@@ -222,7 +252,7 @@ class TestMonteCarloStreaming:
             # the train-bounds ladder: infonce_adjusted at M=16, mc_negative_term at M 1, 16, 64
             *[("infonce", n, 16, 50) for n in (500, 1000, 2000)],
             *[("mc", n, m, 1) for n in (500, 1000, 2000) for m in (1, 16, 64)],
-            # criterion 2 (M=1 is enumerated at n=2000), criterion 1 and repro lemma42's defaults
+            # criterion 2 (its M=1 is the closed form at n=2000), criterion 1 and repro lemma42's defaults
             *[("infonce", 2000, m, 100) for m in (4, 16, 64, 256)],
             *[("mc", 2000, m, 1) for m in (1, 4, 16, 64, 256)],
         ],
