@@ -4,10 +4,16 @@ diameters and adjacency spectra.
 An edge (i, j) exists when the closest pair of views of anchors i and j is
 within the threshold (euclidean metric) or at least as similar as the
 threshold (cosine metric). The threshold is recorded on the graph so runs
-stay comparable. Distances come from ``data.sq_distances``, whose bits do not
-depend on the call shape for views of width <= 3, so one-view anchors are
-connected at threshold ``geomsim.longest_mst_edge(points)``. ``build_graph`` writes whole
-anchor blocks into one n x n matrix, sets inf on and below its diagonal by one mask, scores it in place.
+stay comparable. ``build_graph`` passes the views as stored (anchor-major) to
+``data.sq_distances``, a block of anchors against all later anchors at a time,
+and writes each block whole into one n x n matrix; one mask sets inf on and
+below its diagonal, and the matrix is scored in place. Views of width <= 3 are
+summed one coordinate at a time, so their distances have the same bits in any
+call shape, and one-view anchors are connected at threshold
+``geomsim.longest_mst_edge(points)``. Wider views take the BLAS expansion,
+whose bits depend on the call shape and the BLAS thread count: each squared
+distance lies within 2**-43 of the largest squared row norm, as in the
+``metrics`` confusion core, and an edge can flip only at such a near-tie.
 
 Every graph quantity is computed from one representation, the dense boolean
 adjacency returned by ``AugGraph.neighbors()``: components by a frontier
@@ -72,7 +78,9 @@ class GraphStats:
 
 def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> AugGraph:
     """Threshold the minimum inter-anchor view distance (or maximum similarity),
-    kept for i < j in ``scores[i, j]``; one mask makes it inf / -inf on and below the diagonal."""
+    kept for i < j in ``scores[i, j]``; one mask makes it inf / -inf on and below
+    the diagonal. Bit-exact on views of width <= 3; on wider views within 2**-43
+    of the largest squared row norm (see the module docstring)."""
     if metric not in ("euclidean", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
     if views.n < 2:
@@ -90,8 +98,8 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
     while lo < n - 1:  # a block of anchors lo..hi-1 against anchors lo+1.., about one tile of distances
         rest = n - lo - 1
         hi = min(lo + max(1, TILE_VALUES // (c * c * rest)), n - 1)
-        others = views.stacked()[lo + 1 :].transpose(1, 0, 2).reshape(-1, views.m)  # view-major
-        scores[lo:hi, lo + 1 :] = sq_distances(views.values[lo * c : hi * c], others).reshape(hi - lo, c * c, rest).min(axis=1)
+        d = sq_distances(views.values[lo * c : hi * c], views.values[(lo + 1) * c :])
+        scores[lo:hi, lo + 1 :] = d.reshape(hi - lo, c, rest, c).min(axis=1).min(axis=2)  # over both view axes
         lo = hi
     scores[np.tri(n, dtype=bool)] = INF  # on and below the diagonal, including what the blocks wrote there
     if metric == "euclidean":

@@ -233,11 +233,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_ci_ratio(args) -> int:
-    pairs = data.load_pairs(args.left, args.right, args.labels, args.labels)
-    pairs = data.PositivePairs(
-        data.normalize(pairs.left), data.normalize(pairs.right), pairs.left_labels, pairs.right_labels
-    )
-    ratio = metrics.ci_ratio(pairs)
+    left, right, labels = data.load_embeddings(args.left), data.load_embeddings(args.right), data.load_labels(args.labels)
+    ratio = metrics.ci_ratio(data.PositivePairs(data.normalize(left), data.normalize(right), labels, labels))
     _write_json(_out_dir(args) / "ci_ratio.json", {"ci_ratio": ratio})
     _finish(args, {"ci_ratio": ratio})
     return 0

@@ -156,10 +156,6 @@ class ViewSet:
     def m(self) -> int:
         return self.values.shape[1]
 
-    def stacked(self) -> np.ndarray:
-        """The views as an (n, c, m) array."""
-        return self.values.reshape(self.n, self.c, self.m)
-
     def views_of(self, i: int) -> np.ndarray:
         return self.values[i * self.c : (i + 1) * self.c]
 
@@ -383,14 +379,6 @@ def load_labels(path) -> LabelSet:
 
     labels = _parse_rows(lines, 1, np.int64, lambda v: ((v >= 0) & (v < k)).all(), label_row, path)
     return LabelSet(labels[:, 0], k=k)
-
-
-def load_pairs(path_left, path_right, labels_left=None, labels_right=None) -> PositivePairs:
-    left = load_embeddings(path_left)
-    right = load_embeddings(path_right)
-    ll = load_labels(labels_left) if labels_left is not None else None
-    rl = load_labels(labels_right) if labels_right is not None else None
-    return PositivePairs(left, right, ll, rl)
 
 
 # ---------------------------------------------------------------------------

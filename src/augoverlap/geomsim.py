@@ -169,11 +169,14 @@ def _prim(dist: np.ndarray) -> float:
 
 def longest_mst_edge(points: np.ndarray) -> float:
     """Exact connectivity radius of one sample: the longest minimum-spanning-tree
-    edge, found by dense Prim over the pairwise distance matrix."""
+    edge, found by dense Prim over the pairwise distance matrix. ``points`` must be
+    a finite 2-D array; a float64 C-contiguous one is marked read-only."""
+    if points.ndim != 2:
+        raise ValueError(f"longest_mst_edge needs a 2-D array of points, got shape {points.shape}")
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"longest_mst_edge needs at least 2 points, got n={n}")
-    dist = sq_distances(points)
+    dist = sq_distances(checked_matrix(points, "point", normalized=False))
     return _prim(np.sqrt(dist, out=dist))
 
 

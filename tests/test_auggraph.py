@@ -24,7 +24,7 @@ from augoverlap.auggraph import (
     graph_stats,
     subgraph_diameter,
 )
-from augoverlap.data import TILE_VALUES, LabelSet, ViewSet, normalize, sq_distances
+from augoverlap.data import TILE_VALUES, LabelSet, ViewSet, normalize, sq_distances, sq_norms
 from augoverlap.errors import DegenerateInputError
 
 
@@ -39,14 +39,15 @@ def _path_adj(n):
 def _blockwise_reference(views, threshold, metric):
     """(scores, edges) by a two-matrix reference: a full matrix of inf, each anchor's
     row of its block's upper triangle copied in a Python loop, then a second matrix
-    for the scores."""
+    for the scores. Each block is measured against a view-major copy of the later
+    anchors, so on rows wider than 3 its call shapes differ from ``build_graph``'s."""
     n, c = views.n, views.c
     closest = np.full((n, n), np.inf)
     lo = 0
     while lo < n - 1:
         rest = n - lo - 1
         hi = min(lo + max(1, TILE_VALUES // (c * c * rest)), n - 1)
-        others = views.stacked()[lo + 1 :].transpose(1, 0, 2).reshape(-1, views.m)
+        others = views.values.reshape(n, c, views.m)[lo + 1 :].transpose(1, 0, 2).reshape(-1, views.m)
         d = sq_distances(views.values[lo * c : hi * c], others).reshape(hi - lo, c * c, rest).min(axis=1)
         for r in range(hi - lo):
             closest[lo + r, lo + r + 1 :] = d[r, r:]
@@ -110,7 +111,7 @@ class TestBuildGraph:
         views = normalize(ViewSet(v, n=n, c=c))
         closest = np.full((n, n), np.inf)
         for i in range(n - 1):
-            others = views.stacked()[i + 1 :].transpose(1, 0, 2).reshape(-1, m)
+            others = views.values.reshape(n, c, m)[i + 1 :].transpose(1, 0, 2).reshape(-1, m)
             closest[i, i + 1 :] = sq_distances(views.views_of(i), others).reshape(c * c, n - i - 1).min(axis=0)
         upper = np.triu_indices(n, 1)
         for metric, threshold, scores in (("euclidean", 0.05, np.sqrt(closest)), ("cosine", 0.999, 1.0 - closest / 2.0)):
@@ -130,9 +131,12 @@ class TestBuildGraph:
         pick=st.floats(0.0, 1.0),
     )
     def test_one_matrix_matches_blockwise_reference(self, n, c, m, decimals, seed, pick):
-        """The scores' bits and the edges of the two-matrix reference, for
-        both metrics, with rounded values (ties and duplicate views) and a threshold
-        equal to one of the scores, so the comparison at the threshold decides ties."""
+        """The scores and the edges of the two-matrix reference, for both metrics, with
+        rounded values (ties and duplicate views) and a threshold equal to one of the
+        scores, so the comparison at the threshold decides ties. Widths <= 3 keep every
+        bit. On wider rows each squared distance lies within 2**-43 of the largest
+        squared row norm of the reference's, and an edge differs only where the
+        reference's squared distance lies that close to the threshold's."""
         v = np.random.default_rng(seed).standard_normal((n * c, m))
         if decimals is not None:
             v = np.round(v, decimals) + 0.25  # never zero, so normalize takes every row
@@ -146,8 +150,18 @@ class TestBuildGraph:
                 threshold = max(threshold, float(np.nextafter(-1.0, 0.0)))
             ref, ref_edges = _blockwise_reference(views, threshold, metric)
             g = build_graph(views, threshold, metric)
-            assert g.scores.tobytes() == ref.tobytes()
-            assert g.edges == ref_edges
+            if m <= 3:
+                assert g.scores.tobytes() == ref.tobytes()
+                assert g.edges == ref_edges
+                continue
+            lower, upper = np.tril_indices(n), np.triu_indices(n, 1)
+            assert g.scores[lower].tobytes() == ref[lower].tobytes()
+            # squared distances: d = s^2 (euclidean), d = 2 - 2s (cosine)
+            sq = (lambda s: s * s) if metric == "euclidean" else (lambda s: 2.0 - 2.0 * s)
+            tol = 2.0**-43 * sq_norms(views.values).max()
+            assert np.abs(sq(g.scores[upper]) - sq(ref[upper])).max() <= tol
+            near = np.abs(sq(ref) - sq(threshold)) <= tol
+            assert all(near[i, j] for i, j in g.edges ^ ref_edges)
 
     @pytest.mark.parametrize("metric, threshold", [("euclidean", 1e-3), ("cosine", 1.0)])
     def test_peak_memory_is_one_score_matrix(self, metric, threshold):

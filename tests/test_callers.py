@@ -1,4 +1,5 @@
-"""Every public function and class of the library has a caller in src/ or bench/."""
+"""Every public function, class, method and property of the library has a caller in
+src/ or bench/."""
 
 import ast
 from pathlib import Path
@@ -23,36 +24,46 @@ NO_CALLER = {
 
 
 def _public_definitions():
+    """module.name for each public function and class, and module.Class.name for
+    each public method and property of a public class."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 yield f"{path.stem}.{node.name}"
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                            yield f"{path.stem}.{node.name}.{item.name}"
 
 
 def _references():
-    """(module.definition the reference sits in, or None, name) for every name and
-    attribute read in src/ and bench/."""
+    """(the definitions the reference sits in, name) for every name and attribute
+    read in src/ and bench/. The definitions are a module-level function or class
+    of src/ and, inside a class, the method: empty for the rest."""
     refs = set()
     for path in [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))]:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            inside = None
+            inside, method_of = (), {}
             if path.parent == SRC and isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                inside = f"{path.stem}.{top.name}"
+                inside = (f"{path.stem}.{top.name}",)
+                for item in top.body if isinstance(top, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef):
+                        method_of.update(dict.fromkeys(map(id, ast.walk(item)), f"{inside[0]}.{item.name}"))
             for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    refs.add((inside, node.id))
-                elif isinstance(node, ast.Attribute):
-                    refs.add((inside, node.attr))
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    where = inside + ((method_of[id(node)],) if id(node) in method_of else ())
+                    refs.add((where, node.id if isinstance(node, ast.Name) else node.attr))
     return refs
 
 
 def test_every_public_name_has_a_caller():
     """A public name is called outside its own definition, or it is on NO_CALLER,
-    which must name only such names: a listed name that gains a caller fails too."""
+    which must name only such names: a listed name that gains a caller fails too.
+    Methods and properties are matched by their attribute name."""
     refs = _references()
     uncalled = {
         qualified
         for qualified in _public_definitions()
-        if not any(name == qualified.split(".")[1] and inside != qualified for inside, name in refs)
+        if not any(name == qualified.rsplit(".", 1)[1] and qualified not in where for where, name in refs)
     }
     assert uncalled == NO_CALLER

@@ -509,6 +509,40 @@ def test_metrics_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert 0.0 < _read_json(tmp_path / "threads1" / "metrics.json")["acr_final"] < 1.0
 
 
+def test_graph_output_agrees_across_blas_thread_counts(tmp_path):
+    """``graph`` on wide views under one and two BLAS threads: the same
+    graph_stats.json bytes and edges, and scores within the wide-row tolerance
+    (2**-43 of the largest squared row norm on the squared distances, which is
+    2**-44 on the cosine scores of unit rows). The anchor blocks' products can
+    differ in their last bits between the thread counts."""
+    src = Path(augoverlap.__file__).resolve().parents[1]
+    n, c, width = 200, 10, 256
+    # 3-D views lifted to the width, as the metrics test builds them
+    rng = np.random.default_rng(0)
+    anchors, lift = np.repeat(rng.standard_normal((n, 3)), c, axis=0), rng.standard_normal((3, width))
+    save_views(ViewSet((anchors + 0.05 * rng.standard_normal(anchors.shape)) @ lift, n=n, c=c), tmp_path / "v.views")
+    save_labels(LabelSet(np.arange(n) % 2, k=2), tmp_path / "y.lab")
+    argv = ["graph", "--views", str(tmp_path / "v.views"), "--labels", str(tmp_path / "y.lab")]
+    argv += ["--metric", "cosine", "--threshold", "0.9"]
+    stats, edges = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "augoverlap.cli", *argv, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stats.append((out / "graph_stats.json").read_bytes())
+        edges.append(np.array(_read_csv(out / "edges.csv")[1:], dtype=float))
+    assert stats[0] == stats[1]
+    assert len(edges[0]) > n  # the test sees many edges
+    np.testing.assert_array_equal(edges[0][:, :2], edges[1][:, :2])
+    assert np.abs(edges[0][:, 2] - edges[1][:, 2]).max() <= 2.0**-44
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,6 @@ from augoverlap.data import (
     ViewSet,
     load_embeddings,
     load_labels,
-    load_pairs,
     load_views,
     normalize,
     save_embeddings,
@@ -79,9 +78,8 @@ class TestLabelSet:
 
 
 class TestViewSet:
-    def test_stacked_and_views_of(self):
+    def test_views_of(self):
         v = ViewSet(np.arange(12.0).reshape(6, 2), n=3, c=2)
-        assert v.stacked().shape == (3, 2, 2)
         assert np.array_equal(v.views_of(1), v.values[2:4])
 
     def test_row_count_mismatch(self):
@@ -512,16 +510,6 @@ class TestRoundTrip:
         loaded = load_labels(p)
         assert loaded.k == 3
         np.testing.assert_array_equal(loaded.labels, lab.labels)
-
-    def test_pairs(self, tmp_path, rng):
-        left = EmbeddingSet(rng.standard_normal((3, 2)))
-        right = EmbeddingSet(rng.standard_normal((3, 2)))
-        lab = LabelSet(np.array([0, 1, 0]), k=2)
-        save_embeddings(left, tmp_path / "l.emb")
-        save_embeddings(right, tmp_path / "r.emb")
-        save_labels(lab, tmp_path / "y.lab")
-        pairs = load_pairs(tmp_path / "l.emb", tmp_path / "r.emb", tmp_path / "y.lab", tmp_path / "y.lab")
-        assert pairs.n == 3 and pairs.labeled
 
     @settings(max_examples=25, deadline=None)
     @given(

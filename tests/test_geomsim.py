@@ -234,6 +234,19 @@ class TestMst:
         with pytest.raises(ValueError, match="n=1"):
             longest_mst_edge(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([[0.0, 0.0], [1.0, 0.0], [math.nan, 0.0], [3.0, 0.0]], "point matrix contains non-finite values"),
+            ([[0.0, 0.0], [math.inf, 0.0]], "point matrix contains non-finite values"),
+            ([0.0, 1.0, 3.0], r"2-D array of points, got shape \(3,\)"),
+        ],
+        ids=["nan", "inf", "1-d"],
+    )
+    def test_rejects_non_finite_and_non_2d_points(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            longest_mst_edge(np.array(points))
+
 
 class TestEmpiricalRegime:
     def test_fields_ordered(self):
@@ -267,14 +280,14 @@ class TestAugment:
     def test_one_sided_noise(self, rng):
         anchors = EmbeddingSet(rng.standard_normal((5, 3)))
         views = augment(anchors, 0.7, 2, seed=1)
-        diffs = views.stacked() - anchors.values[:, None, :]
+        diffs = views.values.reshape(5, 2, 3) - anchors.values[:, None, :]
         assert np.all(diffs >= 0.0) and np.all(diffs <= 0.7)
 
     def test_zero_r_copies_anchors(self, rng):
         anchors = EmbeddingSet(rng.standard_normal((3, 2)))
         views = augment(anchors, 0.0, 2, seed=0)
-        np.testing.assert_array_equal(views.stacked()[:, 0], anchors.values)
-        np.testing.assert_array_equal(views.stacked()[:, 1], anchors.values)
+        np.testing.assert_array_equal(views.values.reshape(3, 2, 2)[:, 0], anchors.values)
+        np.testing.assert_array_equal(views.values.reshape(3, 2, 2)[:, 1], anchors.values)
 
     def test_shared_base_noise_across_strengths(self, rng):
         anchors = EmbeddingSet(rng.standard_normal((3, 2)))
@@ -287,7 +300,7 @@ class TestAugment:
         """Per coordinate, (view - anchor) / r is U(0, 1): a Kolmogorov-Smirnov test
         on 3000 values per coordinate keeps p >= 1e-6."""
         anchors = EmbeddingSet(rng.standard_normal((300, 3)))
-        noise = (augment(anchors, r, 10, seed=7).stacked() - anchors.values[:, None, :]) / r
+        noise = (augment(anchors, r, 10, seed=7).values.reshape(300, 10, 3) - anchors.values[:, None, :]) / r
         for k in range(3):
             assert scipy.stats.kstest(noise[..., k].ravel(), "uniform").pvalue >= 1e-6, k
 
