@@ -6,28 +6,28 @@ is fixed at 1.
 
 One core, ``_mc_log_mean_exp``, computes every negative term that averages over
 trials the mean over anchors of a log-mean-exp over M scores ``anchors @ pool.T``.
-It takes its draws from a function ``draw(start, k)`` that returns trials
-start..start+k-1 as (k, n, M) pool indices. Monte Carlo (``infonce_adjusted``
-above ``ENUMERATION_LIMIT``, ``mc_negative_term``) calls a generator seeded with
-``seed``: trial t takes the values ``rng.integers(0, pool, (n, M))`` would give,
-in trial order (int32 chunks of whole trials give the same values). Exact
-enumeration (M >= 2, pool**M at most ``ENUMERATION_LIMIT``) is every combination
-once, in ``itertools.product`` order, each one trial broadcast over the anchors;
-at M = 1 the exact term is the closed form mean(anchors) . mean(pool).
+It walks blocks of ``BLOCK_ROWS`` anchor rows (a 1-row tail joins the block before
+it, since numpy sends a 1-row product to gemv, whose bits differ) and computes
+each block's scores once: a tile of block rows x pool floats, 2 MB at a pool of
+4000, growing with the pool. It takes its draws from a function ``draw(block,
+start, k)`` returning a block's trials start..start+k-1 as pool indices that
+broadcast to (k, rows, M). Monte Carlo (``infonce_adjusted`` above
+``ENUMERATION_LIMIT``, ``mc_negative_term``) gives block b its own generator,
+``default_rng(SeedSequence(seed).spawn(blocks)[b])``, whose trial t takes the
+values ``rng.integers(0, pool, (rows, M))`` would give, in trial order, however
+the trials are grouped: an estimate depends on the seed and ``BLOCK_ROWS`` only.
+Exact enumeration (M >= 2, pool**M at most ``ENUMERATION_LIMIT``) is every
+combination once, in ``itertools.product`` order, each one trial broadcast to
+every block; at M = 1 the exact term is the closed form mean(anchors) . mean(pool).
 
-The core draws whole trials at a time, at most ``DRAW_CHUNK_VALUES`` per chunk,
-and for each chunk computes ``anchors @ pool.T`` one row tile at a time (about
-``SCORE_TILE_VALUES`` values, at least 2 rows) and gathers the chunk's draws
-from that tile, never holding the n x pool score matrix. The per-trial means are
-added in trial order, so the result has the bits of a loop over the trials on
-the whole score matrix wherever each tile's product has the bits of the same
-rows of the whole product. numpy computes a 1-row product with gemv, so tiles
-have at least 2 rows, and a product that fits in one tile (every enumeration,
-and every ``mc_negative_term`` call with n*K <= 2^17) is computed whole.
-OpenBLAS row tiles of a larger product are not always bit-equal to it. On the
-repository's shapes (pools of 1000, 2000 and 4000 rows of width 32) they are,
-and tests/test_losses.py compares those estimates with ``==``; elsewhere a
-score can move by an ulp, and an estimate by at most the largest score change.
+Blocks add their anchor sums to a (trials,) accumulator in block order; the
+estimate adds the per-trial means in trial order, its standard error is their sd
+over sqrt(trials). So the result has the bits of a per-block, per-trial loop on
+the whole score matrix wherever each block's product has the same rows' bits.
+OpenBLAS row blocks are not always bit-equal to the whole product: on
+``infonce_adjusted``'s pools of 1000, 2000 and 4000 rows of width 32 they are
+(tests/test_losses.py compares with ``==``), on K = 10 class means they are not,
+and there an estimate moves by at most the largest score change.
 """
 
 from __future__ import annotations
@@ -41,16 +41,16 @@ from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_mean
 # Exact enumeration of the negative draw replaces Monte Carlo whenever the
 # outcome space pool_size**M is at most this many tuples.
 ENUMERATION_LIMIT = 4096
-# The Monte Carlo estimators draw at most this many negatives (int32) per chunk of
-# whole trials, and compute scores in row tiles of about this many values.
-DRAW_CHUNK_VALUES = 1 << 21
-SCORE_TILE_VALUES = 1 << 17
+# Anchor rows per block of the Monte Carlo core: each block computes its scores
+# once and draws from its own stream (a stream costs about 20 us to create).
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
 class LossValue:
     value: float
     components: tuple[float, float] | None = None
+    stderr: float | None = 0.0  # Monte Carlo standard error; 0.0 when exact, None from one trial
 
     def __post_init__(self):
         if self.components is not None:
@@ -68,53 +68,56 @@ class ClassStats:
         require_nonnegative(cond_variance=self.cond_variance)
 
 
-def _score_tiles(n: int, cols: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of the anchor row tiles of an (n, cols) score matrix: about
-    ``SCORE_TILE_VALUES`` values and at least 2 rows each, so a 1-row tail joins the
-    tile before it (numpy sends a 1-row product to gemv, whose bits differ)."""
-    bounds = list(range(0, n, max(2, SCORE_TILE_VALUES // max(cols, 1))))
+def _anchor_blocks(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the Monte Carlo core's blocks of ``BLOCK_ROWS`` anchor rows;
+    a 1-row tail joins the block before it."""
+    bounds = list(range(0, n, BLOCK_ROWS))
     if len(bounds) > 1 and n - bounds[-1] == 1:
         bounds.pop()
     return list(zip(bounds, bounds[1:] + [n]))
 
 
-def _mc_log_mean_exp(anchors: np.ndarray, pool: np.ndarray, m_negatives: int, trials: int, draw) -> float:
-    """Mean over ``trials`` trials of the mean over anchors of log-mean-exp over M
-    scores ``anchors @ pool.T`` at the (k, n, M) pool rows ``draw(start, k)``
-    returns; streamed as the module docstring describes.
+def _block_streams(seed: int, n: int, cols: int, m_negatives: int):
+    """The Monte Carlo ``draw``: block b's trials in trial order from its own generator."""
+    blocks = _anchor_blocks(n)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(blocks))]
+    return lambda b, start, k: rngs[b].integers(0, cols, (k, blocks[b][1] - blocks[b][0], m_negatives), dtype=np.int32)
 
-    Within a score tile the draws are gathered a few trials at a time (at most
-    ``TILE_VALUES`` values, or one trial of the tile), through flat indices into
-    the tile. The log-mean-exp reduces the contiguous M axis and the mean over
-    anchors a contiguous row of the (trials, n) chunk, so each reduction has the
-    bits of the same reduction in a per-trial loop over the whole matrix."""
+
+def _mc_log_mean_exp(anchors: np.ndarray, pool: np.ndarray, m_negatives: int, trials: int, draw) -> tuple[float, float | None]:
+    """Mean over ``trials`` trials of the mean over anchors of log-mean-exp over M
+    scores ``anchors @ pool.T`` at the pool rows ``draw(block, start, k)`` returns,
+    and its standard error (None from one trial), as the module docstring describes.
+
+    A block's draws are gathered a few trials at a time (at most ``TILE_VALUES``
+    values, or one trial), through flat indices into its tile. The log-mean-exp
+    reduces the contiguous M axis and the anchor sum a contiguous row, so each has
+    the bits of the same reduction in a per-trial loop over the block."""
     n, cols = anchors.shape[0], pool.shape[0]
-    tiles = _score_tiles(n, cols)
-    height = max(hi - lo for lo, hi in tiles)
-    per_chunk = min(trials, max(1, DRAW_CHUNK_VALUES // (n * m_negatives)))
-    per_group = min(per_chunk, max(1, TILE_VALUES // (height * m_negatives)))
-    tile_buf = np.empty(height * cols)
+    blocks = _anchor_blocks(n)
+    height = max(hi - lo for lo, hi in blocks)
+    per_group = min(trials, max(1, TILE_VALUES // (height * m_negatives)))
+    tile = np.empty(height * cols)
     offsets = np.arange(height)[:, None] * cols
     index_buf = np.empty(per_group * height * m_negatives, dtype=np.intp)
     gather_buf = np.empty(index_buf.size)
-    per_anchor = np.empty((per_chunk, n))
+    lme_buf = np.empty(per_group * height)
+    sums = np.zeros(trials)
+    for b, (lo, hi) in enumerate(blocks):
+        np.matmul(anchors[lo:hi], pool.T, out=tile[: (hi - lo) * cols].reshape(hi - lo, cols))
+        for start in range(0, trials, per_group):
+            shape = (min(per_group, trials - start), hi - lo, m_negatives)
+            size = shape[0] * shape[1] * m_negatives
+            index = np.add(draw(b, start, shape[0]), offsets[: hi - lo], out=index_buf[:size].reshape(shape))
+            # every index is in range; "clip" writes into out without the copy "raise" makes
+            drawn = np.take(tile, index, out=gather_buf[:size].reshape(shape), mode="clip")
+            lme = np.mean(np.exp(drawn, out=drawn), axis=-1, out=lme_buf[: size // m_negatives].reshape(shape[:2]))
+            sums[start : start + shape[0]] += np.sum(np.log(lme, out=lme), axis=-1)
+    means = np.divide(sums, n, out=sums)
     acc = 0.0
-    for start in range(0, trials, per_chunk):
-        chunk = per_anchor[: min(per_chunk, trials - start)]
-        draws = draw(start, len(chunk))
-        for lo, hi in tiles:
-            np.matmul(anchors[lo:hi], pool.T, out=tile_buf[: (hi - lo) * cols].reshape(hi - lo, cols))
-            for g in range(0, len(chunk), per_group):
-                rows = chunk[g : g + per_group, lo:hi]
-                shape, size = (*rows.shape, m_negatives), rows.size * m_negatives
-                index = np.add(draws[g : g + per_group, lo:hi], offsets[: hi - lo], out=index_buf[:size].reshape(shape))
-                # every index is in range; "clip" writes into out without the copy "raise" makes
-                drawn = np.take(tile_buf, index, out=gather_buf[:size].reshape(shape), mode="clip")
-                np.mean(np.exp(drawn, out=drawn), axis=-1, out=rows)
-        del draws  # before the next chunk is drawn, so one chunk is alive at a time
-        for value in np.mean(np.log(chunk, out=chunk), axis=-1).tolist():
-            acc += value
-    return acc / trials
+    for value in means.tolist():
+        acc += value
+    return acc / trials, (float(np.std(means, ddof=1) / np.sqrt(trials)) if trials > 1 else None)
 
 
 def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, seed: int = 0) -> LossValue:
@@ -138,19 +141,17 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
 
     pos_term = -float(np.mean(np.sum(pairs.left.values * pairs.right.values, axis=1)))
 
-    n, count = pairs.n, pool_size**m_negatives
+    count, stderr = pool_size**m_negatives, 0.0
     if count <= ENUMERATION_LIMIT and m_negatives == 1:
         neg_term = float(anchors.mean(axis=0) @ pool.mean(axis=0))  # log-mean-exp of one score is the score
     elif count <= ENUMERATION_LIMIT:
         combos = np.stack(np.unravel_index(np.arange(count), (pool_size,) * m_negatives), axis=-1)  # product order
-        draw = lambda start, k: np.broadcast_to(combos[start : start + k, None], (k, n, m_negatives))
-        neg_term = _mc_log_mean_exp(anchors, pool, m_negatives, count, draw)
+        neg_term = _mc_log_mean_exp(anchors, pool, m_negatives, count, lambda b, start, k: combos[start : start + k, None])[0]
     else:
-        rng = np.random.default_rng(seed)
-        draw = lambda start, k: rng.integers(0, pool_size, (k, n, m_negatives), dtype=np.int32)
-        neg_term = _mc_log_mean_exp(anchors, pool, m_negatives, trials, draw)
+        draw = _block_streams(seed, pairs.n, pool_size, m_negatives)
+        neg_term, stderr = _mc_log_mean_exp(anchors, pool, m_negatives, trials, draw)
 
-    return LossValue(pos_term + neg_term, components=(pos_term, neg_term))
+    return LossValue(pos_term + neg_term, components=(pos_term, neg_term), stderr=stderr)
 
 
 def mce_adjusted(e: EmbeddingSet, labels: LabelSet) -> LossValue:
@@ -178,9 +179,8 @@ def mc_negative_term(e: EmbeddingSet, labels: LabelSet, m_negatives: int, trials
     """
     require_count(1, m_negatives=m_negatives, trials=trials)
     require_normalized(e)
-    rng = np.random.default_rng(seed)
-    draw = lambda start, k: rng.integers(0, labels.k, (k, e.n, m_negatives), dtype=np.int32)
-    return _mc_log_mean_exp(e.values, class_means(e.values, labels), m_negatives, trials, draw)
+    draw = _block_streams(seed, e.n, labels.k, m_negatives)
+    return _mc_log_mean_exp(e.values, class_means(e.values, labels), m_negatives, trials, draw)[0]
 
 
 def class_stats(e: EmbeddingSet, labels: LabelSet) -> ClassStats:

@@ -32,6 +32,10 @@ import numpy as np
 from .data import TILE_VALUES, PositivePairs, ViewSet, require_count, require_labels, require_normalized, sq_distances
 from .errors import UndefinedMetricError
 
+# Cap on the bytes of the confusion core's running k-nearest arrays, n * c * k
+# float64 values per distinct inter-anchor statistic (40 MB at n=1000, c=5, k=999).
+NEAREST_BYTES = 1 << 28
+
 STATS = {
     "min": np.min,
     "max": np.max,
@@ -108,6 +112,10 @@ def _confusions(views: ViewSet, cfgs: Sequence[MetricConfig]) -> list[tuple[np.n
         if cfg.k > n - 1:
             raise ValueError(f"k={cfg.k} exceeds the {n - 1} available foreign anchors")
         k_max[cfg.a2] = max(k_max.get(cfg.a2, 0), cfg.k)
+    size = 8 * n * c * sum(k_max.values())
+    if size > NEAREST_BYTES:
+        ks = "+".join(map(str, k_max.values()))
+        raise ValueError(f"the k-nearest arrays for n={n}, c={c}, k={ks} would take {size} bytes, over the {NEAREST_BYTES}-byte cap")
     nearest = {a2: np.full((n, c, k), np.inf) for a2, k in k_max.items()}
     siblings = np.empty((n, c, c - 1))
     off_diagonal = ~np.eye(c, dtype=bool)  # the self term is excluded

@@ -480,6 +480,29 @@ def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_monte_carlo_losses_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The Monte Carlo core's block products, and so ``repro lemma42`` (its
+    defaults: mc_negative_term at n=2000 over M 1-256) and ``infonce_adjusted`` at
+    n=2000, M=16 (a pool of 4000 rows), have the same bits under one and two BLAS
+    threads."""
+    src = Path(augoverlap.__file__).resolve().parents[1]
+    script = (
+        "from augoverlap import losses, synth; pairs = synth.ci_pairs(2000, 10, 32, spread=0.3, seed=4); "
+        "got = losses.infonce_adjusted(pairs, 16, trials=50, seed=4); print(repr((got.value, got.stderr)))"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        for argv in (["-m", "augoverlap.cli", "repro", "lemma42", "--out", str(out)], ["-c", script]):
+            proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        outs.append(((out / "lemma42.csv").read_bytes(), proc.stdout))
+    assert outs[0] == outs[1]
+    assert len(_read_csv(tmp_path / "threads1" / "lemma42.csv")) == 6  # a header and five M rows
+    assert float(outs[0][1].strip("()\n").split(", ")[1]) > 0.0  # the standard error
+
+
 def test_metrics_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     """The confusion core's tile products on wide views, and so metrics.json, have
     the same bytes under one and two BLAS threads."""

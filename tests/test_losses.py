@@ -173,16 +173,23 @@ class TestInfonceAdjusted:
 
 
 def _mc_reference(scores, m_negatives, trials, seed):
-    """The per-trial Monte Carlo loop over the whole score matrix that the streamed
-    core replaced: one (n, M) draw per trial, gathered from ``scores``."""
+    """The per-block, per-trial Monte Carlo loop over the whole score matrix: block
+    b draws one (rows, M) set per trial from ``SeedSequence(seed).spawn(blocks)[b]``,
+    gathered from its rows of ``scores``; returns the estimate and its standard error."""
     n, columns = scores.shape
-    rng = np.random.default_rng(seed)
+    blocks = losses._anchor_blocks(n)
+    sums = np.zeros(trials)
+    for child, (lo, hi) in zip(np.random.SeedSequence(seed).spawn(len(blocks)), blocks):
+        rng = np.random.default_rng(child)
+        for t in range(trials):
+            idx = rng.integers(0, columns, size=(hi - lo, m_negatives))
+            drawn = np.take_along_axis(scores[lo:hi], idx, axis=1)
+            sums[t] += np.sum(np.log(np.mean(np.exp(drawn), axis=1)))
+    means = sums / n
     acc = 0.0
-    for _ in range(trials):
-        idx = rng.integers(0, columns, size=(n, m_negatives))
-        drawn = np.take_along_axis(scores, idx, axis=1)
-        acc += float(np.mean(np.log(np.mean(np.exp(drawn), axis=1))))
-    return acc / trials
+    for value in means.tolist():
+        acc += value
+    return acc / trials, (float(np.std(means, ddof=1) / np.sqrt(trials)) if trials > 1 else None)
 
 
 def _mc_case(estimator, n, k, dim, seed):
@@ -197,14 +204,17 @@ def _mc_case(estimator, n, k, dim, seed):
 
 
 def _estimate(estimator, args, m_negatives, trials, seed):
+    """The estimate and its standard error (None from mc_negative_term, which
+    reports none)."""
     if estimator == "infonce":
-        return infonce_adjusted(args, m_negatives, trials=trials, seed=seed).components[1]
-    return mc_negative_term(*args, m_negatives, trials=trials, seed=seed)
+        got = infonce_adjusted(args, m_negatives, trials=trials, seed=seed)
+        return got.components[1], got.stderr
+    return mc_negative_term(*args, m_negatives, trials=trials, seed=seed), None
 
 
-# (SCORE_TILE_VALUES, DRAW_CHUNK_VALUES, TILE_VALUES): the module's caps, and small
-# ones that split a few anchors into several tiles, chunks and gather groups
-REAL_CAPS = (losses.SCORE_TILE_VALUES, losses.DRAW_CHUNK_VALUES, TILE_VALUES)
+# (BLOCK_ROWS, TILE_VALUES): the module's sizes, and small ones that split a few
+# anchors into several blocks and gather groups
+REAL_SIZES = (losses.BLOCK_ROWS, TILE_VALUES)
 
 
 class TestMonteCarloStreaming:
@@ -217,32 +227,33 @@ class TestMonteCarloStreaming:
         m_negatives=st.integers(1, 20),
         trials=st.integers(1, 6),
         seed=st.integers(0, 2**31),
-        caps=st.sampled_from([REAL_CAPS, (1, 1, 1), (40, 60, 17), (300, 500, 64), (1, 10**6, 1)]),
+        sizes=st.sampled_from([REAL_SIZES, (2, 1), (3, 17), (7, 64), (5, 10**6)]),
     )
-    # more than one trial chunk: chunks of 2, 2 and 1 trials
-    @example(estimator="infonce", n=30, k=1, dim=8, m_negatives=4, trials=5, seed=1, caps=(10**6, 250, 10**6))
-    # a 1-row tail: tiles of 3 rows over 7 anchors end (3, 7), not (6, 7)
-    @example(estimator="infonce", n=7, k=1, dim=3, m_negatives=5, trials=3, seed=2, caps=(42, 10**6, 10**6))
-    @example(estimator="mc", n=7, k=2, dim=3, m_negatives=5, trials=3, seed=3, caps=(6, 10**6, 4))
-    @example(estimator="mc", n=9, k=1, dim=4, m_negatives=3, trials=4, seed=4, caps=(1, 1, 1))
-    @example(estimator="mc", n=40, k=2, dim=16, m_negatives=7, trials=2, seed=5, caps=REAL_CAPS)
-    def test_matches_loop_reference(self, estimator, n, k, dim, m_negatives, trials, seed, caps):
-        """Both estimators give the per-trial loop's bits whenever every score tile's
-        product has the bits of the same rows of the whole product; otherwise they
-        move by at most the largest score change (plus rounding)."""
+    # several gather groups in one block: groups of 2, 2 and 1 trials
+    @example(estimator="infonce", n=30, k=1, dim=8, m_negatives=4, trials=5, seed=1, sizes=(64, 250))
+    # a 1-row tail: blocks of 3 rows over 7 anchors end (3, 7), not (6, 7)
+    @example(estimator="infonce", n=7, k=1, dim=3, m_negatives=5, trials=3, seed=2, sizes=(3, 10**6))
+    @example(estimator="mc", n=7, k=2, dim=3, m_negatives=5, trials=3, seed=3, sizes=(3, 4))
+    @example(estimator="mc", n=9, k=1, dim=4, m_negatives=3, trials=4, seed=4, sizes=(2, 1))
+    @example(estimator="mc", n=40, k=2, dim=16, m_negatives=7, trials=2, seed=5, sizes=REAL_SIZES)
+    def test_matches_loop_reference(self, estimator, n, k, dim, m_negatives, trials, seed, sizes):
+        """Both estimators, and infonce_adjusted's standard error, give the per-block
+        loop's bits whenever every block's product has the bits of the same rows of the
+        whole product; otherwise they move by at most the largest score change (plus
+        rounding)."""
         k = min(k, n)
         args, anchors, pool = _mc_case(estimator, n, k, dim, seed)
         scores = anchors @ pool.T
-        caps = dict(zip(["SCORE_TILE_VALUES", "DRAW_CHUNK_VALUES", "TILE_VALUES"], caps))
-        with mock.patch.multiple(losses, ENUMERATION_LIMIT=0, **caps):
-            got = _estimate(estimator, args, m_negatives, trials, seed)
-            tiles = losses._score_tiles(n, len(pool))
-        assert tiles[0][0] == 0 and tiles[-1][1] == n
-        assert all(hi - lo >= min(2, n) and hi == nxt for (lo, hi), (nxt, _) in zip(tiles, tiles[1:] + [(n, 0)]))
-        change = max(float(np.max(np.abs(anchors[lo:hi] @ pool.T - scores[lo:hi]))) for lo, hi in tiles)
-        expected = _mc_reference(scores, m_negatives, trials, seed)
+        with mock.patch.multiple(losses, ENUMERATION_LIMIT=0, BLOCK_ROWS=sizes[0], TILE_VALUES=sizes[1]):
+            got, stderr = _estimate(estimator, args, m_negatives, trials, seed)
+            blocks = losses._anchor_blocks(n)
+            expected, expected_stderr = _mc_reference(scores, m_negatives, trials, seed)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(hi - lo >= min(2, n) and hi == nxt for (lo, hi), (nxt, _) in zip(blocks, blocks[1:] + [(n, 0)]))
+        change = max(float(np.max(np.abs(anchors[lo:hi] @ pool.T - scores[lo:hi]))) for lo, hi in blocks)
         if change == 0.0:
             assert got == expected
+            assert estimator == "mc" or stderr == expected_stderr
         else:
             assert abs(got - expected) <= change + 1e-14
 
@@ -258,6 +269,12 @@ class TestMonteCarloStreaming:
         ],
     )
     def test_repository_shapes_are_bit_identical(self, estimator, n, m_negatives, trials):
+        """infonce_adjusted's pools (1000-4000 rows) give block products with the bits
+        of the whole product, so the estimate and its error have the reference's bits.
+        mc_negative_term's pool is K = 10 class means, whose 64-row block products
+        OpenBLAS rounds differently from the whole product: there the reference runs
+        on the block products' rows, and within the largest score change of the
+        whole matrix's reference."""
         pairs = synth.ci_pairs(n, 10, 32, spread=0.3, seed=n + m_negatives)
         if estimator == "infonce":
             args, anchors = pairs, pairs.left.values
@@ -265,39 +282,65 @@ class TestMonteCarloStreaming:
         else:
             args, anchors = (pairs.left, pairs.left_labels), pairs.left.values
             pool = class_means(anchors, pairs.left_labels)
+        scores = anchors @ pool.T
+        blocked = np.vstack([anchors[lo:hi] @ pool.T for lo, hi in losses._anchor_blocks(n)])
+        assert estimator == "mc" or np.array_equal(blocked, scores)
+        change = float(np.max(np.abs(blocked - scores)))
         for seed in (0, 1) if trials == 1 else (3,):
-            expected = _mc_reference(anchors @ pool.T, m_negatives, trials, seed)
-            assert _estimate(estimator, args, m_negatives, trials, seed) == expected
+            expected, expected_stderr = _mc_reference(blocked, m_negatives, trials, seed)
+            got, stderr = _estimate(estimator, args, m_negatives, trials, seed)
+            assert got == expected
+            if estimator == "infonce":
+                assert stderr == expected_stderr
+            else:
+                assert abs(got - _mc_reference(scores, m_negatives, trials, seed)[0]) <= change + 1e-14
+
+    def test_gather_groups_do_not_move_the_bits(self):
+        """At train-bounds' largest shape the estimate and its standard error keep
+        their bits whatever the gather group: one trial of a block, a few, or all."""
+        pairs = synth.ci_pairs(2000, 10, 32, spread=0.3, seed=7)
+        results = set()
+        for tile_values in (1, 5000, TILE_VALUES, 10**7):
+            with mock.patch.object(losses, "TILE_VALUES", tile_values):
+                got = infonce_adjusted(pairs, 16, trials=50, seed=7)
+            results.add((got.value, got.stderr))
+        assert len(results) == 1
 
     @pytest.mark.parametrize("trials, n, m_negatives, splits", [(7, 5, 3, (1, 2, 4)), (6, 33, 7, (1, 2, 3)), (4, 8, 1, (3, 1))])
     def test_draws_equal_per_trial_draws(self, trials, n, m_negatives, splits):
-        """One (T, n, M) draw equals T per-trial draws and whole-trial chunks of any
-        size, and int32 draws equal int64 draws: the core's seed semantics."""
-        whole = np.random.default_rng(9).integers(0, 1000, size=(trials, n, m_negatives))
-        rng = np.random.default_rng(9)
-        per_trial = np.stack([rng.integers(0, 1000, size=(n, m_negatives)) for _ in range(trials)])
-        rng = np.random.default_rng(9)
+        """Each block's int32 draws, in groups of any size, equal its per-trial int64
+        draws from ``default_rng(SeedSequence(seed).spawn(blocks)[b])``: the core's
+        seed semantics. Blocks of 3 rows split every n into several."""
+        with mock.patch.object(losses, "BLOCK_ROWS", 3):
+            blocks = losses._anchor_blocks(n)
+            whole, grouped = losses._block_streams(9, n, 1000, m_negatives), losses._block_streams(9, n, 1000, m_negatives)
+        assert len(blocks) > 1
+        per_trial = [np.random.default_rng(child) for child in np.random.SeedSequence(9).spawn(len(blocks))]
         sizes = [*splits, trials - sum(splits)]
-        chunks = np.concatenate([rng.integers(0, 1000, size=(t, n, m_negatives), dtype=np.int32) for t in sizes])
-        assert np.array_equal(whole, per_trial) and np.array_equal(whole, chunks)
+        starts = np.cumsum([0, *sizes[:-1]]).tolist()
+        for b, (lo, hi) in enumerate(blocks):
+            expected = np.stack([per_trial[b].integers(0, 1000, size=(hi - lo, m_negatives)) for _ in range(trials)])
+            groups = np.concatenate([grouped(b, start, size) for start, size in zip(starts, sizes)])
+            assert groups.dtype == np.int32
+            assert np.array_equal(whole(b, 0, trials), expected) and np.array_equal(groups, expected)
 
     @pytest.mark.parametrize("n, m_negatives, trials", [(2000, 16, 50), (2000, 256, 100), (100, 256, 100)])
     def test_memory_is_one_chunk_and_one_tile(self, n, m_negatives, trials):
-        """The Monte Carlo branch holds the draw chunk, one score tile, the gather
-        buffers, the chunk's (trials, n) log-mean-exps and the pool. At n=2000 (a
-        pool of 4000) the n x pool score matrix (64 MB) never exists; at n=100 the
-        one tile is gathered a few trials at a time, not the whole 81-trial chunk."""
+        """The Monte Carlo branch holds one block's score tile, one gather group of
+        draws (its int32 draws, flat indices, gathered scores and log-mean-exps), the
+        pool, the per-block streams and the (trials,) accumulator. At n=2000 (a pool
+        of 4000) the n x pool score matrix (64 MB) never exists, nor any n x trials x
+        M draw; at n=100 the one tile is gathered a few trials at a time."""
         dim = 32
         pairs = synth.ci_pairs(n, 10, dim, spread=0.3, seed=0)
         pool = 2 * n
-        tile_rows = min(n, max(2, losses.SCORE_TILE_VALUES // pool) + 1)  # a merged 1-row tail adds a row
-        chunk_trials = min(trials, max(1, losses.DRAW_CHUNK_VALUES // (n * m_negatives)))
+        rows = min(n, losses.BLOCK_ROWS + 1)  # a merged 1-row tail adds a row
         bound = (
-            4 * losses.DRAW_CHUNK_VALUES
-            + 8 * tile_rows * pool
-            + 16 * max(TILE_VALUES, tile_rows * m_negatives)
-            + 8 * chunk_trials * n
+            8 * rows * pool
+            + 28 * max(TILE_VALUES, rows * m_negatives)
             + 8 * pool * dim
+            + 2048 * len(losses._anchor_blocks(n))
+            + 48 * trials
             + 64 * 1024
         )
         tracemalloc.start()
@@ -308,7 +351,43 @@ class TestMonteCarloStreaming:
             tracemalloc.stop()
         assert peak <= bound, (peak, bound)
         if n == 2000:
-            assert bound < 8 * n * pool
+            assert bound < 4 * n * trials * m_negatives  # one int32 draw of every anchor's trials
+
+
+class TestStandardError:
+    def test_exact_branches_and_one_trial(self):
+        pairs = synth.ci_pairs(20, 2, 4, seed=0)
+        assert infonce_adjusted(pairs, 1).stderr == 0.0  # closed form
+        assert infonce_adjusted(_tiny_pairs(), 2).stderr == 0.0  # enumeration
+        assert infonce_adjusted(pairs, 4, trials=1).stderr is None
+        assert infonce_adjusted(pairs, 4, trials=2).stderr > 0.0
+        assert mce_adjusted(pairs.left, pairs.left_labels).stderr == 0.0
+
+    @staticmethod
+    def _calibration_z(values, stderrs):
+        """z of var(values) - mean(stderr^2) over independent seeds, whose expectation
+        is 0 when the error is calibrated. The sd of the sample variance comes from
+        the sample's own fourth central moment, sqrt((m4 - s^4) / S), so the check
+        holds for non-normal estimates; the mean's sd is added in quadrature."""
+        values, variances = np.asarray(values), np.asarray(stderrs) ** 2
+        centered = values - values.mean()
+        var = float(np.mean(centered**2)) * values.size / (values.size - 1)
+        sd = math.sqrt((float(np.mean(centered**4)) - var**2 + float(np.var(variances, ddof=1))) / values.size)
+        return (var - float(variances.mean())) / sd
+
+    def test_calibrated_across_seeds(self):
+        """Calibration: over 1000 seeds of a 20-trial estimate, the variance of the
+        estimates matches the mean squared reported error. Over 200 independent sets
+        of 1000 seeds this z had mean -0.22, sd 1.10 and largest |z| 3.86, so |z| <= 5
+        fails a calibrated error with probability about 5e-6. Reporting sd/trials in
+        place of sd/sqrt(trials), a planted bias, gave z >= 18 in every set, and
+        0.8 times the error z >= 5.1."""
+        pairs = synth.ci_pairs(40, 4, 6, spread=0.5, seed=3)
+        got = [infonce_adjusted(pairs, 4, trials=20, seed=seed) for seed in range(1000)]
+        values, stderrs = [g.value for g in got], [g.stderr for g in got]
+        assert abs(self._calibration_z(values, stderrs)) <= 5.0
+        planted = [e / math.sqrt(20) for e in stderrs]  # sd / trials
+        assert self._calibration_z(values, planted) > 5.0
 
 
 class TestMceAdjusted:

@@ -243,6 +243,22 @@ class TestConfusionTiles:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * n * c * k, peak
 
+    def test_running_arrays_over_the_cap_raise_before_allocating(self):
+        """At n=2000, c=10, k=1999 the running array would take 320 MB, over the
+        256 MiB cap: gacr raises a ValueError naming n, c, k and the bytes, and the
+        traced peak stays below 1 MB, so the array was never allocated."""
+        n, c, k = 2000, 10, 1999
+        v = ViewSet(np.random.default_rng(0).standard_normal((n * c, 2)), n=n, c=c)
+        assert 8 * n * c * k > metrics.NEAREST_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^the k-nearest arrays for n={n}, c={c}, k={k} would take {8 * n * c * k} bytes, over the {metrics.NEAREST_BYTES}-byte cap$"):
+                gacr(v, MetricConfig("max", "min", k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+
 
 class TestArc:
     def test_formula(self):
