@@ -146,8 +146,7 @@ class ViewSet:
 
     def __post_init__(self):
         v = self.values
-        if self.c < 1 or self.n < 1:
-            raise ValueError("n and c must be >= 1")
+        require_count(1, n=self.n, c=self.c)
         if v.ndim != 2 or v.shape[0] != self.n * self.c:
             raise ValueError(f"expected {self.n * self.c} rows, got {v.shape[0]}")
         object.__setattr__(self, "values", checked_matrix(v, "view", self.normalized))

@@ -1,6 +1,6 @@
 """Random-geometric machinery: cap sampling on the sphere, uniform-cube
 augmentation noise, closed-form overlap thresholds and empirical regime
-detection.
+detection from one Prim pass per sample, in O(n) memory.
 
 The closed forms use the gamma-function reading of the factorials, x! =
 Gamma(x + 1), which is the only consistent interpretation for the non-integer
@@ -19,6 +19,11 @@ from .data import EmbeddingSet, LabelSet, ViewSet, checked_matrix, require_count
 INF = math.inf
 
 
+def _require_area(area: float) -> None:
+    if not 0.0 < area < INF:
+        raise ValueError(f"area must be > 0 and finite, got {area}")
+
+
 @dataclass(frozen=True)
 class GeomConfig:
     d: int
@@ -31,8 +36,7 @@ class GeomConfig:
     def __post_init__(self):
         require_count(1, d=self.d)
         require_count(2, n=self.n)
-        if not 0.0 < self.area < INF:
-            raise ValueError(f"area must be > 0 and finite, got {self.area}")
+        _require_area(self.area)
         require_nonnegative(noise_r=self.noise_r)
         if self.class_centers is not None:
             centers = checked_matrix(np.atleast_2d(self.class_centers), "class center", normalized=True)
@@ -107,6 +111,7 @@ def nn_distance_closed_form(k: int, d: int, area: float, n: int) -> float:
     uniform points over a region of measure ``area`` (leading-order expansion)."""
     require_count(3, n=n)
     require_count(1, d=d, k=k)
+    _require_area(area)
     prefactor = math.gamma(d / 2.0 + 1.0) ** (1.0 / d) / math.sqrt(math.pi)
     ratio = math.exp(math.lgamma(k + 1.0 / d) - math.lgamma(float(k)))
     correction = 1.0 - (1.0 / d + 1.0 / d**2) / (2.0 * (n - 1))
@@ -122,6 +127,7 @@ def connectivity_radius_closed_form(d: int, area: float, n: int) -> float:
     """Asymptotic minimal augmentation strength for a connected graph."""
     require_count(2, d=d)
     require_count(1, n=n)
+    _require_area(area)
     return (2.0 * (1.0 - 1.0 / d) * area * math.log(n) / (unit_ball_volume(d) * n**2)) ** (1.0 / d)
 
 
@@ -152,37 +158,47 @@ def _sample_points(cfg: GeomConfig, rng: np.random.Generator) -> np.ndarray:
     return sample_flat(cfg, rng)
 
 
-def _prim(dist: np.ndarray) -> float:
-    """Longest MST edge of a dense distance matrix (diagonal ignored) by Prim."""
-    n = dist.shape[0]
+def _nn_far_mst(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point, the nearest- and farthest-neighbor distance, and the n - 1 minimum
+    spanning tree edges in Prim's order (from point 0): a point's distance row is
+    computed once, when it joins the tree. Rows wider than 3 lie within the library's
+    wide-row tolerance of the whole distance matrix (notes/decisions.md)."""
+    n = points.shape[0]
+    nn, far, joins = np.empty(n), np.empty(n), np.empty(n)  # joins[0] is the root's 0
     in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, INF)  # distance from the tree to each vertex outside it
-    v, longest = 0, 0.0
-    for _ in range(n - 1):
-        in_tree[v] = True
-        np.minimum(best, dist[v], out=best)
-        best[in_tree] = INF
+    best = np.full(n, INF)  # distance from the tree to each point outside it
+    best[0] = 0.0
+    for i in range(n):
         v = int(np.argmin(best))
-        longest = max(longest, float(best[v]))
-    return longest
+        joins[i] = best[v]
+        in_tree[v] = True
+        row = sq_distances(points[v : v + 1], points)[0]
+        np.sqrt(row, out=row)
+        row[v] = INF
+        nn[v] = row.min()
+        row[v] = -INF
+        far[v] = row.max()
+        np.minimum(best, row, out=best)
+        best[in_tree] = INF
+    return nn, far, joins[1:]
 
 
 def longest_mst_edge(points: np.ndarray) -> float:
     """Exact connectivity radius of one sample: the longest minimum-spanning-tree
-    edge, found by dense Prim over the pairwise distance matrix. ``points`` must be
-    a finite 2-D array; a float64 C-contiguous one is marked read-only."""
+    edge, by one Prim pass in O(n) memory. ``points`` must be a finite 2-D array; a
+    float64 C-contiguous one is marked read-only."""
     if points.ndim != 2:
         raise ValueError(f"longest_mst_edge needs a 2-D array of points, got shape {points.shape}")
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"longest_mst_edge needs at least 2 points, got n={n}")
-    dist = sq_distances(checked_matrix(points, "point", normalized=False))
-    return _prim(np.sqrt(dist, out=dist))
+    return float(_nn_far_mst(checked_matrix(points, "point", normalized=False))[2].max())
 
 
 def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:
     """Simulate samples, estimate the nearest/farthest-neighbor statistics and
-    the exact connectivity radius, and classify ``cfg.noise_r``.
+    the exact connectivity radius, and classify ``cfg.noise_r``. Each trial reads
+    them from one Prim pass over its points (O(n) memory, no n x n matrix).
 
     Returned fields: r1/r2 are trial means of the per-point nearest- and
     farthest-neighbor distances (the empirical counterparts of the closed
@@ -192,31 +208,15 @@ def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:
     """
     require_count(1, trials=trials)
     rng = np.random.default_rng(cfg.seed)
-    nn_means, far_means, mins, maxes, r_mcs = [], [], [], [], []
-    for _ in range(trials):
-        pts = _sample_points(cfg, rng)
-        dist = sq_distances(pts)
-        np.sqrt(dist, out=dist)
-        np.fill_diagonal(dist, INF)
-        nn = dist.min(axis=1)
-        np.fill_diagonal(dist, -INF)
-        far = dist.max(axis=1)
-        nn_means.append(float(nn.mean()))
-        far_means.append(float(far.mean()))
-        mins.append(float(nn.min()))
-        maxes.append(float(far.max()))
-        r_mcs.append(_prim(dist))
+    per_trial = np.empty((5, trials))  # mean nn, mean far, closest pair, farthest pair, longest MST edge
+    for t in range(trials):
+        nn, far, edges = _nn_far_mst(_sample_points(cfg, rng))
+        per_trial[:, t] = nn.mean(), far.mean(), nn.min(), far.max(), edges.max()
+    r1, r2, closest, farthest, r_mc = per_trial.mean(axis=1).tolist()
     r3 = min_center_halfdistance(cfg.class_centers)
-    regime = classify_regime(cfg.noise_r, float(np.mean(mins)), float(np.mean(maxes)), r3)
     r_mc_closed = connectivity_radius_closed_form(cfg.d, cfg.area, cfg.n) if cfg.d >= 2 else math.nan
-    return ThresholdReport(
-        r1=float(np.mean(nn_means)),
-        r2=float(np.mean(far_means)),
-        r3=r3,
-        r_mc_closed=r_mc_closed,
-        r_mc_empirical=float(np.mean(r_mcs)),
-        regime=regime,
-    )
+    regime = classify_regime(cfg.noise_r, closest, farthest, r3)
+    return ThresholdReport(r1=r1, r2=r2, r3=r3, r_mc_closed=r_mc_closed, r_mc_empirical=r_mc, regime=regime)
 
 
 def augment(points: EmbeddingSet, r: float, count: int, seed: int = 0) -> ViewSet:

@@ -193,6 +193,7 @@ def class_stats(e: EmbeddingSet, labels: LabelSet) -> ClassStats:
 
 def alignment_uniformity(pairs: PositivePairs, sample_budget: int = 0, seed: int = 0) -> tuple[float, float]:
     """Mean and max positive-pair feature distance (the empirical epsilon)."""
+    require_count(0, sample_budget=sample_budget)
     require_normalized(pairs.left, pairs.right)
     left, right = pairs.left.values, pairs.right.values
     if sample_budget and pairs.n > sample_budget:

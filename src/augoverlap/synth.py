@@ -32,7 +32,7 @@ def class_centers(k: int, m: int, seed: int = 0) -> np.ndarray:
 
 
 def balanced_labels(n: int, k: int, rng: np.random.Generator) -> LabelSet:
-    require_count(1, k=k)
+    require_count(1, n=n, k=k)
     labels = np.tile(np.arange(k), n // k + 1)[:n]
     rng.shuffle(labels)
     return LabelSet(labels, k=k)

@@ -3,7 +3,8 @@
 Each test registers a one-line PASS/FAIL verdict that is printed in the
 "acceptance criteria" section at the end of the pytest run. Criteria 5 and 7
 are expected to fail; the analysis of why their stated targets are not
-attainable with this construction lives in notes/decisions.md.
+attainable with this construction lives in notes/decisions.md. Beside
+criterion 7, one more test asserts the scaling laws that analysis rests on.
 """
 
 import csv
@@ -220,6 +221,27 @@ def test_criterion_07_connectivity_scaling():
     record_criterion(7, ok, detail)
     assert elapsed < 300.0
     assert 0.8 <= slope <= 1.2, f"slope {slope:.3f} outside [0.8, 1.2] (see notes/decisions.md)"
+
+
+def test_scaling_laws_of_the_closest_pair_and_the_longest_mst_edge():
+    """notes/decisions.md's table as assertions, in criterion 7's setting (d = 2,
+    area 1, seed 5, 20 trials drawn as empirical_regime draws them) over N in (100,
+    300, 1000). The log trial-mean closest pair against log(log N / N^2)/d, and the
+    log trial-mean longest MST edge against Penrose's log(log N / N)/d, each fit a
+    slope in [0.8, 1.2]. Against criterion 7's predictor the longest edge fits about
+    0.5, so swapping the two predictors fails."""
+    d, ns = 2, (100, 300, 1000)
+    closest, longest = [], []
+    for n in ns:
+        cfg = geomsim.GeomConfig(d=d, n=n, area=1.0, seed=5)
+        rng = np.random.default_rng(cfg.seed)
+        trials = [geomsim._nn_far_mst(geomsim._sample_points(cfg, rng)) for _ in range(20)]
+        closest.append(math.log(np.mean([nn.min() for nn, _, _ in trials])))
+        longest.append(math.log(np.mean([edges.max() for _, _, edges in trials])))
+    pair_slope = float(np.polyfit([math.log(math.log(n) / n**2) / d for n in ns], closest, 1)[0])
+    mst_slope = float(np.polyfit([math.log(math.log(n) / n) / d for n in ns], longest, 1)[0])
+    assert 0.8 <= pair_slope <= 1.2, f"closest-pair slope {pair_slope:.3f}"
+    assert 0.8 <= mst_slope <= 1.2, f"longest-MST-edge slope {mst_slope:.3f}"
 
 
 def test_criterion_08_spectral_certificate():

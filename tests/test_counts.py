@@ -4,6 +4,8 @@ below its minimum the call raises ``ValueError("<name> must be >= <minimum>, got
 outside a real range is named in its error too."""
 
 import ast
+import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,8 @@ def _flat(d=2, n=10):
 # (entry point, count name, minimum, the call with that count set to v and every other input valid)
 CASES = [
     ("LabelSet", "k", 1, lambda v: LabelSet(np.array([0]), k=v)),
+    ("ViewSet", "n", 1, lambda v: ViewSet(np.zeros((1, 2)), n=v, c=1)),
+    ("ViewSet", "c", 1, lambda v: ViewSet(np.zeros((1, 2)), n=1, c=v)),
     ("GeomConfig", "d", 1, lambda v: _flat(d=v)),
     ("GeomConfig", "n", 2, lambda v: _flat(n=v)),
     ("nn_distance_closed_form", "n", 3, lambda v: geomsim.nn_distance_closed_form(1, 2, 1.0, v)),
@@ -49,6 +53,7 @@ CASES = [
     ("infonce_adjusted", "trials", 1, lambda v: losses.infonce_adjusted(_pairs(), 1, trials=v)),
     ("mc_negative_term", "m_negatives", 1, lambda v: _mc(v, 1)),
     ("mc_negative_term", "trials", 1, lambda v: _mc(1, v)),
+    ("alignment_uniformity", "sample_budget", 0, lambda v: losses.alignment_uniformity(_pairs(), sample_budget=v)),
     ("MetricConfig", "k", 1, lambda v: metrics.MetricConfig(k=v)),
     ("TrainConfig", "epochs", 1, lambda v: trainer.TrainConfig(epochs=v)),
     ("TrainConfig", "hidden_size", 1, lambda v: trainer.TrainConfig(hidden_size=v)),
@@ -74,6 +79,7 @@ CASES = [
     ("class_centers", "k", 1, lambda v: synth.class_centers(v, 3)),
     ("class_centers", "m", 2, lambda v: synth.class_centers(1, v)),
     ("balanced_labels", "k", 1, lambda v: synth.balanced_labels(4, v, np.random.default_rng(0))),
+    ("balanced_labels", "n", 1, lambda v: synth.balanced_labels(v, 2, np.random.default_rng(0))),
     ("cli simulate", "trials", 1, lambda v: _cli("simulate", "--n", "10", "--noise-r", "0.5", "--trials", str(v))),
     (
         "cli repro lemma42",
@@ -99,6 +105,14 @@ def test_count_below_its_minimum_names_the_field_and_value(call, name, minimum, 
         assert not str(err).startswith(f"{name} must be >="), err
 
 
+# areas outside (0, inf), for both closed forms: GeomConfig's check is their only one
+BAD_AREAS = [-1.0, 0.0, math.nan, math.inf]
+CLOSED_FORMS = {
+    "nn": lambda area: geomsim.nn_distance_closed_form(1, 2, area, 100),
+    "connectivity": lambda area: geomsim.connectivity_radius_closed_form(2, area, 100),
+}
+
+
 @pytest.mark.parametrize(
     "call, text",
     [
@@ -115,8 +129,9 @@ def test_count_below_its_minimum_names_the_field_and_value(call, name, minimum, 
             lambda: geomsim.sample_caps(geomsim.GeomConfig(d=3, n=10, area=7.0, class_centers=np.eye(3)[:2])),
             "cap area must not exceed a hemisphere (2*pi), got 7.0",
         ),
+        *[(functools.partial(form, area), f"area must be > 0 and finite, got {area}") for form in CLOSED_FORMS.values() for area in BAD_AREAS],
     ],
-    ids=["cosine-threshold", "omega", "cap-dimension", "cap-area"],
+    ids=["cosine-threshold", "omega", "cap-dimension", "cap-area", *[f"{name}-area-{a}" for name in CLOSED_FORMS for a in BAD_AREAS]],
 )
 def test_range_error_names_its_value(call, text):
     with pytest.raises(ValueError) as exc:

@@ -88,7 +88,7 @@ class TestViewSet:
 
     @pytest.mark.parametrize("n, c", [(0, 2), (2, 0)])
     def test_needs_an_anchor_and_a_view(self, n, c):
-        with pytest.raises(ValueError, match="n and c must be >= 1"):
+        with pytest.raises(ValueError, match=f"^{'n' if n == 0 else 'c'} must be >= 1, got 0$"):
             ViewSet(np.ones((0, 2)), n=n, c=c)
 
 

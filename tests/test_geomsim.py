@@ -1,15 +1,17 @@
 """Cap sampling, closed-form thresholds, MST connectivity radius and augmentation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from augoverlap.auggraph import build_graph, connected_components
-from augoverlap.data import EmbeddingSet, ViewSet, sq_distances
+from augoverlap.data import EmbeddingSet, ViewSet, sq_distances, sq_norms
 from augoverlap.geomsim import (
     GeomConfig,
+    _nn_far_mst,
     _sample_points,
     augment,
     classify_regime,
@@ -24,6 +26,47 @@ from augoverlap.geomsim import (
 )
 
 NORTH_SOUTH = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+
+
+def _prim(dist):
+    """Longest MST edge of a dense distance matrix (diagonal ignored) by Prim."""
+    n = dist.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)  # distance from the tree to each vertex outside it
+    v, longest = 0, 0.0
+    for _ in range(n - 1):
+        in_tree[v] = True
+        np.minimum(best, dist[v], out=best)
+        best[in_tree] = np.inf
+        v = int(np.argmin(best))
+        longest = max(longest, float(best[v]))
+    return longest
+
+
+def _dense_reference(points):
+    """(nn, far, longest MST edge) from the whole n x n distance matrix: its diagonal
+    set to inf for the nearest neighbors, then to -inf for the farthest, and dense
+    Prim over its rows."""
+    dist = sq_distances(points)
+    np.sqrt(dist, out=dist)
+    np.fill_diagonal(dist, np.inf)
+    nn = dist.min(axis=1)
+    np.fill_diagonal(dist, -np.inf)
+    far = dist.max(axis=1)
+    return nn, far, _prim(dist)
+
+
+def _dense_regime(cfg, trials):
+    """(r1, r2, r_mc_empirical, regime) as empirical_regime reports them, from the
+    dense reference on the same draws."""
+    rng = np.random.default_rng(cfg.seed)
+    stats = [[], [], [], [], []]
+    for _ in range(trials):
+        nn, far, longest = _dense_reference(_sample_points(cfg, rng))
+        for values, value in zip(stats, (nn.mean(), far.mean(), nn.min(), far.max(), longest)):
+            values.append(float(value))
+    r1, r2, closest, farthest, r_mc = (float(np.mean(values)) for values in stats)
+    return r1, r2, r_mc, classify_regime(cfg.noise_r, closest, farthest, min_center_halfdistance(cfg.class_centers))
 
 
 class TestGeomConfig:
@@ -198,8 +241,9 @@ class TestMst:
         assert len(connected_components(build_graph(views, r_mc * (1 - 1e-9)))) > 1
 
     def test_matches_sorted_edge_sweep(self, rng):
-        """Exactly the longest edge a Kruskal sweep over the same distances
-        adds, with rounded (tied) and duplicate points included."""
+        """Exactly the longest edge a Kruskal sweep over the same distances adds, and
+        the one-pass Prim's n - 1 edges are, sorted, exactly the sweep's, with rounded
+        (tied) and duplicate points included."""
         for trial in range(30):
             n, d = int(rng.integers(2, 60)), int(rng.integers(1, 4))
             pts = rng.random((n, d))
@@ -208,16 +252,63 @@ class TestMst:
             dist = np.sqrt(sum((pts[:, None, k] - pts[None, :, k]) ** 2 for k in range(d)))
             iu, ju = np.triu_indices(n, k=1)
             comp = np.arange(n)
-            merges, longest = 0, 0.0
+            merged = []
             for e in np.argsort(dist[iu, ju], kind="stable"):
                 a, b = comp[iu[e]], comp[ju[e]]
                 if a != b:
                     comp[comp == b] = a
-                    merges += 1
-                    longest = float(dist[iu[e], ju[e]])
-                    if merges == n - 1:
+                    merged.append(float(dist[iu[e], ju[e]]))
+                    if len(merged) == n - 1:
                         break
-            assert longest_mst_edge(pts) == longest
+            assert longest_mst_edge(pts) == merged[-1]
+            assert np.sort(_nn_far_mst(pts)[2]).tolist() == merged
+
+    def test_one_pass_matches_dense_reference(self):
+        """nn, far and the longest edge of the one-pass Prim equal the dense
+        reference's bit for bit on widths 1-3, with every other draw rounded to 0.1
+        (ties and duplicate points)."""
+        rng = np.random.default_rng(24)
+        for trial in range(60):
+            n, d = int(rng.integers(2, 401)), int(rng.integers(1, 4))
+            pts = rng.random((n, d))
+            if trial % 2:
+                pts = np.round(pts, 1)
+            nn, far, longest = _dense_reference(pts)
+            got_nn, got_far, edges = _nn_far_mst(pts)
+            assert got_nn.tobytes() == nn.tobytes() and got_far.tobytes() == far.tobytes()
+            assert edges.shape == (n - 1,) and float(edges.max()) == longest == longest_mst_edge(pts)
+
+    def test_wide_rows_lie_within_the_tolerance(self):
+        """On widths 4-32 a 1-row distance call can move a squared distance in its
+        last bits. nn and far are a min and a max of the distances, and the longest
+        edge a bottleneck (a min over spanning trees of a max), so each lies within
+        2**-43 of the largest squared row norm of the dense reference's, in squared
+        units."""
+        rng = np.random.default_rng(43)
+        for trial in range(40):
+            n, d = int(rng.integers(2, 200)), int(rng.integers(4, 33))
+            pts = rng.standard_normal((n, d))
+            if trial % 2:
+                pts = np.round(pts, trial % 4 // 2)  # duplicates and ties
+            nn, far, longest = _dense_reference(pts)
+            got_nn, got_far, edges = _nn_far_mst(pts)
+            tol = 2.0**-43 * sq_norms(pts).max()
+            assert np.abs(got_nn**2 - nn**2).max() <= tol
+            assert np.abs(got_far**2 - far**2).max() <= tol
+            assert abs(float(edges.max()) ** 2 - longest**2) <= tol
+
+    def test_peak_memory_is_o_n(self):
+        """At n=3000, d=2, longest_mst_edge and one empirical_regime trial each peak
+        under 1 MB beyond their inputs; the whole distance matrix alone is 72 MB."""
+        points = np.random.default_rng(0).random((3000, 2))
+        for call in (lambda: longest_mst_edge(points), lambda: empirical_regime(GeomConfig(d=2, n=3000, area=1.0))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6, peak
 
     def test_graph_at_the_radius_is_connected(self):
         """The graph at threshold exactly the longest MST edge is connected:
@@ -258,12 +349,23 @@ class TestEmpiricalRegime:
 
     @pytest.mark.parametrize("centers", [None, NORTH_SOUTH])
     def test_mst_radius_is_longest_mst_edge(self, centers):
-        """empirical_regime's dense Prim, on the distance matrix it reads the neighbor
-        statistics from, gives exactly longest_mst_edge on the same draws."""
+        """empirical_regime's Prim pass, the one it reads the neighbor statistics from,
+        gives exactly longest_mst_edge on the same draws."""
         cfg = GeomConfig(d=2 if centers is None else 3, n=60, area=1.0, class_centers=centers, seed=4)
         rng = np.random.default_rng(cfg.seed)
         radii = [longest_mst_edge(_sample_points(cfg, rng)) for _ in range(3)]
         assert empirical_regime(cfg, trials=3).r_mc_empirical == float(np.mean(radii))
+
+    @pytest.mark.parametrize(
+        "d, n, noise_r, centers",
+        [(1, 2, 0.0, None), (1, 150, 0.3, None), (2, 400, 0.01, None), (2, 90, 2.0, None), (3, 200, 0.1, NORTH_SOUTH), (3, 60, 1.5, NORTH_SOUTH)],
+    )
+    def test_matches_dense_reference(self, d, n, noise_r, centers):
+        """r1, r2, r_mc_empirical and the regime equal the dense reference's with ==,
+        on flat and cap samples."""
+        cfg = GeomConfig(d=d, n=n, area=1.0, class_centers=centers, noise_r=noise_r, seed=n)
+        rep = empirical_regime(cfg, trials=3)
+        assert (rep.r1, rep.r2, rep.r_mc_empirical, rep.regime) == _dense_regime(cfg, 3)
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
