@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import require_count, require_nonnegative
 
 E = math.e
@@ -147,7 +149,7 @@ def spectral_diameter(omega: float, lambda1: float, lambda2_abs: float) -> tuple
         return INF, "bipartite-degenerate spectrum |lambda2| = lambda1"
     if lambda2_abs == 0.0:
         return 1.0, "lambda2 = 0: one-hop complete-graph certificate"
-    num = math.log((1.0 - omega**2) / omega**2)
+    num = math.log1p(-(omega**2)) - 2.0 * math.log(omega)  # log((1 - w^2) / w^2), finite down to the least w > 0
     den = math.log(lambda1 / lambda2_abs)
     return max(num / den, 0.0), ""
 
@@ -169,15 +171,23 @@ def collision_probability(m_negatives: int, k_classes: int) -> float:
 
 
 def coverage_probability(m_plus_one: int, k_classes: int) -> float:
-    """v: probability that m_plus_one uniform class draws cover all K classes."""
+    """v: probability that m_plus_one uniform class draws cover all K classes.
+
+    A recurrence over the number of distinct classes seen, one update of the
+    (K + 1) distribution per draw: every term is nonnegative, so nothing cancels
+    (inclusion-exclusion over math.comb overflows or loses all digits)."""
     require_count(1, m_plus_one=m_plus_one, K=k_classes)
     if m_plus_one < k_classes:
         return 0.0
     k = k_classes
-    total = 0.0
-    for j in range(k + 1):
-        total += (-1.0) ** j * math.comb(k, j) * ((k - j) / k) ** m_plus_one
-    return max(total, 0.0)
+    seen = np.arange(k + 1) / k  # chance that a draw repeats one of j seen classes
+    fresh = seen[::-1]  # chance that it is new: (K - j) / K
+    p = np.zeros(k + 1)
+    p[0] = 1.0
+    for _ in range(m_plus_one):
+        p[1:] = p[1:] * seen[1:] + p[:-1] * fresh[:-1]
+        p[0] = 0.0
+    return float(p[k])
 
 
 def expected_log_collisions(m_negatives: int, k_classes: int) -> float:

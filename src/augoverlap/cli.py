@@ -152,25 +152,22 @@ def cmd_metrics(args) -> int:
 
 
 def _simulate_rows(d, n, area, r_grid, trials, seed):
-    data.require_count(1, trials=trials)
-    rng = np.random.default_rng(seed)
-    rows = []
+    """One sample per trial serves every radius: its r-graph has n - #(MST edges <= r)
+    components, and only a connected one is built, for its diameter."""
     for r in r_grid:
-        components, diameters = [], []  # diameters of the connected trials
-        for _ in range(trials):
-            cfg = geomsim.GeomConfig(d=d, n=n, area=area, seed=int(rng.integers(2**31)))
-            if r <= 0.0:  # no edges
-                data.require_nonnegative(noise_r=r)
-                components.append(n)
-                continue
-            pts = geomsim.sample_flat(cfg, np.random.default_rng(cfg.seed))
-            g = auggraph.build_graph(data.ViewSet(pts, n=n, c=1), r, "euclidean")
-            components.append(len(auggraph.connected_components(g)))
-            if components[-1] == 1:
-                diameters.append(auggraph.subgraph_diameter(g.neighbors(), list(range(n))))
-        d_max = max(diameters) if diameters else math.inf
-        rows.append([r, len(diameters) / trials, float(np.mean(components)), d_max])
-    return rows
+        data.require_nonnegative(noise_r=r)
+    samples = geomsim.mst_trials(geomsim.GeomConfig(d=d, n=n, area=area, seed=seed), trials)
+    radii = np.array(r_grid)
+    components = np.zeros(len(r_grid), dtype=np.int64)  # summed over the trials
+    diameters = [[] for _ in r_grid]  # of the connected trials
+    for points, _, _, edges in samples:
+        edges.sort()
+        components += n - np.searchsorted(edges, radii, "right")
+        for i in np.flatnonzero(edges[-1] <= radii):
+            g = auggraph.build_graph(data.ViewSet(points, n=n, c=1), r_grid[i], "euclidean")
+            diameters[i].append(auggraph.subgraph_diameter(g.neighbors(), list(range(n))))
+    per_radius = zip(r_grid, components, diameters)
+    return [[r, len(ds) / trials, int(c) / trials, max(ds, default=math.inf)] for r, c, ds in per_radius]
 
 
 def cmd_simulate(args) -> int:

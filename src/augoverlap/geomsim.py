@@ -1,6 +1,7 @@
 """Random-geometric machinery: cap sampling on the sphere, uniform-cube
-augmentation noise, closed-form overlap thresholds and empirical regime
-detection from one Prim pass per sample, in O(n) memory.
+augmentation noise, closed-form overlap thresholds, and one Prim pass per
+sample (``mst_trials``), in O(n) memory, from which empirical regime detection
+and the CLI's connectivity sweep read every statistic and radius.
 
 The closed forms use the gamma-function reading of the factorials, x! =
 Gamma(x + 1), which is the only consistent interpretation for the non-integer
@@ -195,10 +196,22 @@ def longest_mst_edge(points: np.ndarray) -> float:
     return float(_nn_far_mst(checked_matrix(points, "point", normalized=False))[2].max())
 
 
+def mst_trials(cfg: GeomConfig, trials: int):
+    """``trials`` samples of ``cfg`` from the stream ``default_rng(cfg.seed)``, each
+    yielded as (points, nn, far, edges) from one Prim pass over its points (see
+    ``_nn_far_mst``). ``trials`` is checked at the call; the samples are drawn as
+    they are read. On one-view points the r-graph has n - #(edges <= r) components
+    (Penrose 1997), exactly on rows of width <= 3."""
+    require_count(1, trials=trials)
+    rng = np.random.default_rng(cfg.seed)
+    return ((points, *_nn_far_mst(points)) for points in (_sample_points(cfg, rng) for _ in range(trials)))
+
+
 def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:
     """Simulate samples, estimate the nearest/farthest-neighbor statistics and
     the exact connectivity radius, and classify ``cfg.noise_r``. Each trial reads
-    them from one Prim pass over its points (O(n) memory, no n x n matrix).
+    them from one Prim pass over its points (``mst_trials``: O(n) memory, no n x n
+    matrix).
 
     Returned fields: r1/r2 are trial means of the per-point nearest- and
     farthest-neighbor distances (the empirical counterparts of the closed
@@ -206,11 +219,9 @@ def empirical_regime(cfg: GeomConfig, trials: int = 1) -> ThresholdReport:
     uses the strict isolation (min pairwise) and completeness (max pairwise)
     radii.
     """
-    require_count(1, trials=trials)
-    rng = np.random.default_rng(cfg.seed)
+    samples = mst_trials(cfg, trials)  # checks trials before anything is allocated
     per_trial = np.empty((5, trials))  # mean nn, mean far, closest pair, farthest pair, longest MST edge
-    for t in range(trials):
-        nn, far, edges = _nn_far_mst(_sample_points(cfg, rng))
+    for t, (_, nn, far, edges) in enumerate(samples):
         per_trial[:, t] = nn.mean(), far.mean(), nn.min(), far.max(), edges.max()
     r1, r2, closest, farthest, r_mc = per_trial.mean(axis=1).tolist()
     r3 = min_center_halfdistance(cfg.class_centers)

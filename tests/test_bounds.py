@@ -1,6 +1,7 @@
 """Bound formulas, the spectral diameter certificate and the literature baselines."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -136,6 +137,15 @@ class TestSpectralDiameter:
         d, _ = spectral_diameter(0.9, 2.0, 1.0)  # (1-w^2)/w^2 < 1 makes the log negative
         assert d == 0.0
 
+    @pytest.mark.parametrize("omega", [1e-160, 1e-170, 5e-324])
+    def test_tiny_omega_is_finite(self, omega):
+        """Down to the least positive omega the certificate is -2 log(w) / log(l1/l2)
+        to rounding, where w^2 underflows; (1 - w^2) / w^2 gave inf at 1e-160 and
+        divided by zero below about 1.5e-162."""
+        d, note = spectral_diameter(omega, 2.0, 1.0)
+        assert d == pytest.approx(-2.0 * math.log(omega) / math.log(2.0), rel=1e-14)
+        assert note == ""
+
     def test_omega_validation(self):
         with pytest.raises(ValueError):
             spectral_diameter(1.2, 2.0, 1.0)
@@ -173,6 +183,20 @@ class TestBaselineHelpers:
         assert coverage_probability(2, 2) == pytest.approx(0.5)
         assert coverage_probability(200, 2) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "m_plus_one, k_classes",
+        [(1, 1), (5, 1), (2, 2), (17, 10), (50, 7), (150, 100), (4097, 10), (4097, 1000), (4097, 1100)],
+    )
+    def test_coverage_probability_matches_exact_fraction(self, m_plus_one, k_classes):
+        """Within 1e-13 of the exact rational value, also where inclusion-exclusion in
+        floats overflowed (K = 1100), gave 0.0 for 5.74e-16 (150, 100) or lost digits
+        (4097, 1000)."""
+        k = k_classes
+        numerator = sum((-1) ** j * math.comb(k, j) * (k - j) ** m_plus_one for j in range(k + 1))
+        exact = float(Fraction(numerator, k**m_plus_one))
+        assert exact > 0.0
+        assert coverage_probability(m_plus_one, k) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
     def test_expected_log_collisions(self):
         # Col ~ Binomial(1, 1/2): E log(Col+1) = 0.5 log 2
         assert expected_log_collisions(1, 2) == pytest.approx(0.5 * math.log(2.0))
@@ -194,6 +218,11 @@ class TestBaselineBounds:
         # M + 1 < K: the coverage event is impossible
         base = baseline_bounds(BoundInputs(m_negatives=2, k_classes=10), l_unsup=1.0)
         assert math.isinf(base.arora) and math.isinf(base.nozawa)
+
+    def test_rare_coverage_gives_finite_bounds(self):
+        # M + 1 = 150 draws cover K = 100 classes with probability 5.74e-16, not 0
+        base = baseline_bounds(BoundInputs(m_negatives=149, k_classes=100), l_unsup=1.0)
+        assert math.isfinite(base.arora) and math.isfinite(base.nozawa)
 
     def test_requires_two_classes(self):
         with pytest.raises(ValueError, match="K >= 2"):

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -55,6 +56,13 @@ class TestBoundsCommand:
         manifest = _read_json(tmp_path / "manifest.json")
         assert manifest["command"] == "bounds"
         assert manifest["config"]["m_grid"] == [2, 4, 8]
+
+    def test_many_classes(self, tmp_path):
+        """K = 1100 overflowed math.comb's float conversion in the coverage probability."""
+        assert main(["bounds", "--k", "1100", "--m-grid", "2,4096", "--out", str(tmp_path)]) == 0
+        rows = _read_csv(tmp_path / "bounds.csv")
+        assert rows[1][3:5] == ["inf", "inf"]  # M + 1 < K: coverage is impossible
+        assert all(math.isfinite(float(cell)) for cell in rows[2])
 
 
 class TestGraphCommand:
@@ -163,6 +171,36 @@ class TestSimulateCommand:
         rows = _read_csv(tmp_path / "simulate.csv")
         assert rows[1][1] == "0.0" and float(rows[1][2]) > 1.0 and rows[1][3] == "inf"
         assert rows[2][1:3] == ["1.0", "1.0"] and 1.0 <= float(rows[2][3]) < 30.0
+
+    @pytest.mark.parametrize(
+        "d, n, r_grid, trials, seed",
+        [(1, 40, [0.02, 0.05, 0.1, 0.2], 6, 0), (2, 60, [0.1, 0.15, 0.2, 0.3], 8, 3), (3, 50, [0.2, 0.3, 0.35, 0.5], 5, 1)],
+    )
+    def test_rows_match_one_graph_per_radius_and_trial(self, d, n, r_grid, trials, seed):
+        """The rows equal, with ==, those of one graph per (r, trial) on mst_trials'
+        samples: its component count, and its diameter where it is connected."""
+        cfg = geomsim.GeomConfig(d=d, n=n, area=1.0, seed=seed)
+        samples = [points for points, *_ in geomsim.mst_trials(cfg, trials)]
+        expected = []
+        for r in r_grid:
+            components, diameters = [], []
+            for points in samples:
+                g = auggraph.build_graph(ViewSet(points, n=n, c=1), r, "euclidean")
+                components.append(len(auggraph.connected_components(g)))
+                if components[-1] == 1:
+                    diameters.append(auggraph.subgraph_diameter(g.neighbors(), list(range(n))))
+            expected.append([r, len(diameters) / trials, float(np.mean(components)), max(diameters) if diameters else math.inf])
+        assert cli._simulate_rows(d, n, 1.0, r_grid, trials, seed) == expected
+        assert any(0.0 < row[1] < 1.0 for row in expected)  # some radius splits the trials
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_curves_are_monotone_in_r(self, seed):
+        """Every radius reads the same samples, so connected_fraction rises and
+        mean_components falls with r (seeds 2, 5 and 7 broke both when each radius
+        drew its own samples)."""
+        rows = cli._simulate_rows(2, 100, 1.0, [0.1, 0.105, 0.11, 0.115, 0.12], 5, seed)
+        fraction, components = [row[1] for row in rows], [row[2] for row in rows]
+        assert fraction == sorted(fraction) and components == sorted(components, reverse=True)
 
 
 class TestTrainCommand:
@@ -369,14 +407,12 @@ class TestManifest:
 
 EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300"]
 NUMERIC_TYPES = (int, float, _int_grid, _float_grid)
-# the names a library error gives an option whose parameter is named otherwise;
-# simulate's radius is its graph's euclidean threshold
+# the names a library error gives an option whose parameter is named otherwise
 FIELD_NAMES = {
     "m_grid": ["M", "m_negatives"],
     "k": ["K"],
     "l_unsup": ["l_contr"],
     "var": ["cond_variance"],
-    "noise_r": ["threshold"],
     "r_grid": ["noise_r", "r"],
     "n_train": ["n"],
     "n_test": ["n"],
@@ -599,7 +635,7 @@ class TestUsageErrors:
             (["train", *TINY_TRAIN, "--learning-rate", "nan"], "learning_rate must be >= 0 and finite, got nan"),
             (["train", *TINY_TRAIN, "--noise-r", "inf"], "noise_r must be >= 0 and finite, got inf"),
             (["simulate", "--d", "0", "--n", "10", "--noise-r", "0.5", "--trials", "1"], "d must be >= 1, got 0"),
-            (["simulate", "--n", "10", "--noise-r", "nan", "--trials", "1"], "euclidean threshold must be > 0 and finite, got nan"),
+            (["simulate", "--n", "10", "--noise-r", "nan", "--trials", "1"], "noise_r must be >= 0 and finite, got nan"),
             (["bounds", "--var", "nan", "--l-unsup", "nan"], "l_contr must not be NaN"),
             (["bounds", "--var", "nan"], "cond_variance must be >= 0 and finite, got nan"),
             (["simulate", "--n", "10", "--noise-r", "0.5", "--trials", "0"], "trials must be >= 1, got 0"),

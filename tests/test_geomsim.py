@@ -19,6 +19,7 @@ from augoverlap.geomsim import (
     empirical_regime,
     longest_mst_edge,
     min_center_halfdistance,
+    mst_trials,
     nn_distance_closed_form,
     sample_caps,
     sample_flat,
@@ -297,6 +298,24 @@ class TestMst:
             assert np.abs(got_far**2 - far**2).max() <= tol
             assert abs(float(edges.max()) ** 2 - longest**2) <= tol
 
+    def test_components_are_n_minus_the_edges_within_r(self):
+        """The r-graph of one-view points has n - #(MST edges <= r) components, with ==
+        on widths 1-3, raw and rounded to 0.1 (ties and duplicate points), at a random
+        r and at r set to an MST edge (Penrose 1997)."""
+        rng = np.random.default_rng(25)
+        for trial in range(60):
+            n, d = int(rng.integers(2, 201)), int(rng.integers(1, 4))
+            pts = rng.random((n, d))
+            if trial % 2:
+                pts = np.round(pts, 1)
+            edges = np.sort(_nn_far_mst(pts)[2])
+            positive = edges[edges > 0.0]  # build_graph takes a threshold > 0
+            if not positive.size:
+                continue
+            for r in (float(rng.uniform(0.0, 1.2 * edges[-1])), float(rng.choice(positive))):
+                components = connected_components(build_graph(ViewSet(pts, n=n, c=1), r))
+                assert n - int(np.searchsorted(edges, r, "right")) == len(components)
+
     def test_peak_memory_is_o_n(self):
         """At n=3000, d=2, longest_mst_edge and one empirical_regime trial each peak
         under 1 MB beyond their inputs; the whole distance matrix alone is 72 MB."""
@@ -370,6 +389,25 @@ class TestEmpiricalRegime:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             empirical_regime(GeomConfig(d=2, n=10, area=1.0), trials=0)
+
+
+class TestMstTrials:
+    @pytest.mark.parametrize("centers", [None, NORTH_SOUTH])
+    def test_yields_each_sample_with_its_pass(self, centers):
+        """Each trial is the next sample of default_rng(cfg.seed) with its one-pass nn,
+        far and MST edges."""
+        cfg = GeomConfig(d=2 if centers is None else 3, n=40, area=1.0, class_centers=centers, seed=7)
+        rng = np.random.default_rng(cfg.seed)
+        for points, nn, far, edges in mst_trials(cfg, 3):
+            expected = _sample_points(cfg, rng)
+            assert points.tobytes() == expected.tobytes()
+            for got, want in zip((nn, far, edges), _nn_far_mst(expected)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_checked_at_the_call(self, trials):
+        with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+            mst_trials(GeomConfig(d=2, n=10, area=1.0), trials)
 
 
 class TestAugment:
