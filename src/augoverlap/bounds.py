@@ -130,7 +130,7 @@ def spectral_diameter(omega: float, lambda1: float, lambda2_abs: float) -> tuple
     Returns (d_hat, note). Degenerate cases:
 
     * omega = 0 (a disconnected subgraph signature) -> inf, flagged;
-    * omega = 1 (single vertex) -> 0;
+    * omega = 1 (single vertex, so lambda1 = 0) -> 0; a ValueError if lambda1 > 0;
     * lambda2 = 0: the ratio log diverges; the power-positivity argument holds
       at one hop only for complete graphs, so a one-hop certificate d_hat = 1
       is reported with a note instead of the undefined formula value;
@@ -141,9 +141,11 @@ def spectral_diameter(omega: float, lambda1: float, lambda2_abs: float) -> tuple
     require_nonnegative(lambda1=lambda1, lambda2_abs=lambda2_abs)
     if omega == 0.0:
         return INF, "disconnected (omega = 0)"
+    if omega == 1.0:
+        if lambda1 > 0.0:
+            raise ValueError(f"omega = 1 is a one-vertex subgraph, whose lambda1 is 0, got lambda1 = {lambda1}")
+        return 0.0, "single-vertex subgraph"
     if lambda1 <= 0.0:
-        if omega >= 1.0:
-            return 0.0, "single-vertex subgraph"
         return INF, "edgeless subgraph with several vertices"
     if lambda2_abs >= lambda1:
         return INF, "bipartite-degenerate spectrum |lambda2| = lambda1"

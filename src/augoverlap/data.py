@@ -12,7 +12,7 @@ Floats are serialized with 9 significant digits, so canonical files round-trip
 byte-identically. Loaders never normalize; call :func:`normalize` explicitly.
 
 Writers produce the bytes of ``"%.9g" % v`` for every value, and build the file
-as ASCII bytes a block of whole rows at a time (at most ``_FORMAT_VALUES``
+as ASCII bytes one ``row_tiles`` block of whole rows at a time (``_FORMAT_VALUES``
 values, so the temporaries stay near 2 MB). A finite value printed in
 fixed notation takes the fast path: its 9-digit significand is ``rint(|v| *
 10**k)`` for the k that puts it in [1e8, 1e9), and its text is looked up as
@@ -193,11 +193,20 @@ def normalize(x: EmbeddingSet | ViewSet) -> EmbeddingSet | ViewSet:
     return dataclasses.replace(x, values=unit_rows(x.values), normalized=True)
 
 
-def row_tiles(rows: int, width: int):
-    """(lo, hi) bounds of the tiles of ``rows`` rows of ``width`` values each: at most
-    ``TILE_VALUES`` values, and at least one row, per tile."""
-    step = max(1, TILE_VALUES // max(width, 1))
-    return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
+def tile_rows(width: int, budget: int | None = None) -> int:
+    """The one tile rule: ``max(1, budget // width)`` rows per tile (``budget`` default ``TILE_VALUES``)."""
+    return max(1, (TILE_VALUES if budget is None else budget) // max(width, 1))
+
+
+def row_tiles(rows: int, width: int, budget: int | None = None) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive tiles of ``tile_rows(width, budget)`` rows over [0, rows)."""
+    step = tile_rows(width, budget)
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def pair_rows() -> int:
+    """Rows per side of a square tile pair of at most ``4 * TILE_VALUES`` values (about 1 MB)."""
+    return math.isqrt(4 * TILE_VALUES)
 
 
 def sq_norms(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -246,10 +255,10 @@ def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     unless the largest squared norms of ``a`` and ``b`` sum beyond float range (the
     expansion would give inf - inf): such inputs take the column sum too, where a
     squared distance beyond float range is inf. The square form is exactly symmetric
-    for every width. Beyond the result, the work runs in place one row tile at a time
-    (``TILE_VALUES`` values), so the only temporaries are one tile buffer and the row
-    norms. The bits are those of the one-shot expressions, since t - 2g == t + (-2g)
-    and 0.0 + s == s for the first column's square s."""
+    for every width. Beyond the result, the work runs in place one ``row_tiles`` tile
+    at a time, so the only temporaries are one tile buffer and the row norms. The
+    bits are those of the one-shot expressions, since t - 2g == t + (-2g) and
+    0.0 + s == s for the first column's square s."""
     b = a if b is None else b
     with np.errstate(over="ignore"):  # a squared distance beyond float range is inf
         by_column = 0 < a.shape[1] <= 3  # zero-width rows take the product, which is all zeros
@@ -258,7 +267,7 @@ def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
             sb = sa if b is a else sq_norms(b)
             by_column = not np.isfinite(sa.max(initial=0.0) + sb.max(initial=0.0))
         out = np.empty((a.shape[0], b.shape[0])) if by_column else a @ b.T  # a @ a.T runs as one symmetric product
-        tiles = list(row_tiles(*out.shape))
+        tiles = row_tiles(*out.shape)
         buf = np.empty((tiles[0][1] if tiles else 0, out.shape[1]))
         for lo, hi in tiles:
             o, t = out[lo:hi], buf[: hi - lo]
@@ -491,21 +500,20 @@ def _fill_records(x: np.ndarray, newline: np.ndarray, rec: np.ndarray) -> None:
 def _format_matrix(header: str, values: np.ndarray) -> bytearray:
     """The file text: ``header`` (without its final newline), then each row of
     ``values`` on its own line as space-separated ``%.9g`` values, the bytes of
-    ``"\\n".join(" ".join("%.9g" % v for v in row) for row in values)``. Rows are
-    formatted a block of at most ``_FORMAT_VALUES`` values (at least one row) at a time."""
+    ``"\\n".join(" ".join("%.9g" % v for v in row) for row in values)``, formatted
+    a block of rows at a time, ``row_tiles(rows, cols, _FORMAT_VALUES)``."""
     rows, cols = values.shape
     out = bytearray(header.encode("ascii"))
     if cols == 0:
         out += b"\n" * (rows + 1)
         return out
-    step = max(1, _FORMAT_VALUES // cols)
-    newline = np.zeros((min(step, rows), cols), np.intp)
-    newline[:, 0] = 5
-    newline = newline.reshape(-1)
+    tiles = row_tiles(rows, cols, _FORMAT_VALUES)
+    newline = np.zeros(tiles[0][1] * cols, np.intp)  # the first tile is the longest
+    newline[::cols] = 5
     buf = bytearray(20 * newline.size)  # the records, reused by every block
     rec = np.frombuffer(buf, np.uint32).reshape(-1, 5)
-    for lo in range(0, rows, step):
-        block = values[lo : lo + step].reshape(-1)
+    for lo, hi in tiles:
+        block = values[lo:hi].reshape(-1)
         _fill_records(block, newline[: block.size], rec[: block.size])
         out += (buf if block.size == newline.size else buf[: 20 * block.size]).translate(None, b"\0")
     out += b"\n"

@@ -84,9 +84,10 @@ def sample_caps(cfg: GeomConfig) -> tuple[EmbeddingSet, LabelSet]:
         raise ValueError(f"cap area must not exceed a hemisphere (2*pi), got {cfg.area}")
     centers = cfg.class_centers
     k = centers.shape[0]
+    if cfg.n < k:
+        raise ValueError(f"cap sampling needs a point per class center: n={cfg.n} points for {k} centers")
     rng = np.random.default_rng(cfg.seed)
-    per_class = cfg.n // k
-    counts = [per_class + (1 if i < cfg.n - per_class * k else 0) for i in range(k)]
+    counts = [cfg.n // k + (i < cfg.n % k) for i in range(k)]
 
     points, labels = [], []
     z_low = 1.0 - cfg.area / (2.0 * math.pi)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, require_count, require_labels, require_nonnegative, require_normalized, sq_norms
+from .data import EmbeddingSet, LabelSet, PositivePairs, class_means, require_count, require_labels, require_nonnegative, require_normalized, row_tiles, sq_norms
 
 # Exact enumeration of the negative draw replaces Monte Carlo whenever the
 # outcome space pool_size**M is at most this many tuples.
@@ -89,24 +89,24 @@ def _mc_log_mean_exp(anchors: np.ndarray, pool: np.ndarray, m_negatives: int, tr
     scores ``anchors @ pool.T`` at the pool rows ``draw(block, start, k)`` returns,
     and its standard error (None from one trial), as the module docstring describes.
 
-    A block's draws are gathered a few trials at a time (at most ``TILE_VALUES``
-    values, or one trial), through flat indices into its tile. The log-mean-exp
-    reduces the contiguous M axis and the anchor sum a contiguous row, so each has
-    the bits of the same reduction in a per-trial loop over the block."""
+    A block's draws are gathered a group of trials at a time, ``data.row_tiles(trials,
+    height * M)``, through flat indices into its tile. The log-mean-exp reduces the
+    contiguous M axis and the anchor sum a contiguous row, so each has the bits of
+    the same reduction in a per-trial loop over the block."""
     n, cols = anchors.shape[0], pool.shape[0]
     blocks = _anchor_blocks(n)
     height = max(hi - lo for lo, hi in blocks)
-    per_group = min(trials, max(1, TILE_VALUES // (height * m_negatives)))
+    groups = row_tiles(trials, height * m_negatives)  # the first is the largest
     tile = np.empty(height * cols)
     offsets = np.arange(height)[:, None] * cols
-    index_buf = np.empty(per_group * height * m_negatives, dtype=np.intp)
+    index_buf = np.empty(groups[0][1] * height * m_negatives, dtype=np.intp)
     gather_buf = np.empty(index_buf.size)
-    lme_buf = np.empty(per_group * height)
+    lme_buf = np.empty(groups[0][1] * height)
     sums = np.zeros(trials)
     for b, (lo, hi) in enumerate(blocks):
         np.matmul(anchors[lo:hi], pool.T, out=tile[: (hi - lo) * cols].reshape(hi - lo, cols))
-        for start in range(0, trials, per_group):
-            shape = (min(per_group, trials - start), hi - lo, m_negatives)
+        for start, stop in groups:
+            shape = (stop - start, hi - lo, m_negatives)
             size = shape[0] * shape[1] * m_negatives
             index = np.add(draw(b, start, shape[0]), offsets[: hi - lo], out=index_buf[:size].reshape(shape))
             # every index is in range; "clip" writes into out without the copy "raise" makes

@@ -7,11 +7,11 @@ excludes the zero self-distance; the plain confusion ratio uses unsquared
 distances while the generalized one uses squared distances. Both come from one
 core, ``_confusions``: ACR is GACR(max, min, 1) with ``sqrt`` applied to the two
 reduced per-view statistics, which gives the bits of the distances' ``sqrt``
-because ``sqrt`` is monotone and correctly rounded. The core walks tiles of
-whole anchors, about 1 MB of distances per tile pair, and computes each distance
-once, so its memory does not grow with (n c)^2. It reduces any number of
-configurations over the same tiles, so :func:`confusion_ratios` gives ACR and
-several GACR variants of one view set for the cost of one pass.
+because ``sqrt`` is monotone and correctly rounded. The core walks the anchor tiles
+``data.row_tiles(n, c, data.pair_rows())``, about 1 MB of distances per tile pair,
+and computes each distance once, so its memory does not grow with (n c)^2. It
+reduces any number of configurations over the same tiles, so :func:`confusion_ratios`
+gives ACR and several GACR variants of one view set for the cost of one pass.
 
 Rows of width <= 3 and integer-valued rows give the bits of one whole distance
 matrix. On wider float rows a tile off the diagonal is a general product, not
@@ -23,13 +23,12 @@ differ only where its two statistics tie within that tolerance.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TILE_VALUES, PositivePairs, ViewSet, require_count, require_labels, require_normalized, sq_distances
+from .data import PositivePairs, ViewSet, pair_rows, require_count, require_labels, require_normalized, row_tiles, sq_distances
 from .errors import UndefinedMetricError
 
 # Cap on the bytes of the confusion core's running k-nearest arrays, n * c * k
@@ -54,13 +53,6 @@ class MetricConfig:
         if self.a1 not in STATS or self.a2 not in STATS:
             raise ValueError(f"statistics must be one of {sorted(STATS)}")
         require_count(1, k=self.k)
-
-
-def _anchor_tiles(n: int, c: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of the confusion core's anchor tiles: whole anchors, at least
-    one per tile, and at most ``4 * TILE_VALUES`` distances (about 1 MB) per tile pair."""
-    step = max(1, math.isqrt(4 * TILE_VALUES) // c)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _over_views(d: np.ndarray, stat: str) -> np.ndarray:
@@ -93,15 +85,15 @@ def _confusions(views: ViewSet, cfgs: Sequence[MetricConfig]) -> list[tuple[np.n
     """Per config, as two (n, c) arrays: the k-th smallest foreign-anchor statistic
     ``a2`` and the sibling statistic ``a1`` of the squared distances.
 
-    The core walks the anchor tile pairs (I, J) with I <= J, and each pair makes one
-    ``sq_distances`` call: the square form on the diagonal, so its own anchors'
-    blocks are exactly symmetric, and the rectangular form off it. Each distance is
-    computed once and feeds both directions: anchor i's statistic for J's views
-    reduces over axis 1, anchor j's statistic for I's views over J's view slices in
-    view order, so both sum a mean in view order (not numpy's blocked pairwise
-    order over 8 or more adjacent values). Each view keeps a running array of its k
-    smallest foreign statistics per ``a2``; the siblings come from the diagonal
-    tiles and are reduced in view order too."""
+    The core walks the pairs (I, J), I <= J, of the tiles ``data.row_tiles(n, c,
+    data.pair_rows())``; each makes one ``sq_distances`` call: the square form on the
+    diagonal, so its own anchors' blocks are exactly symmetric, and the rectangular
+    form off it. Each distance is computed once and feeds both directions: anchor i's
+    statistic for J's views reduces over axis 1, anchor j's statistic for I's views
+    over J's view slices in view order, so both sum a mean in view order (not numpy's
+    blocked pairwise order over 8 or more adjacent values). Each view keeps a running
+    array of its k smallest foreign statistics per ``a2``; the siblings come from the
+    diagonal tiles and are reduced in view order too."""
     n, c = views.n, views.c
     if n < 2:
         raise ValueError("need at least 2 anchors")
@@ -119,7 +111,7 @@ def _confusions(views: ViewSet, cfgs: Sequence[MetricConfig]) -> list[tuple[np.n
     nearest = {a2: np.full((n, c, k), np.inf) for a2, k in k_max.items()}
     siblings = np.empty((n, c, c - 1))
     off_diagonal = ~np.eye(c, dtype=bool)  # the self term is excluded
-    tiles = _anchor_tiles(n, c)
+    tiles = row_tiles(n, c, pair_rows())
     for t, (lo, hi) in enumerate(tiles):
         rows = views.values[lo * c : hi * c]
         own = np.arange(hi - lo)

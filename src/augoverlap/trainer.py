@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, require_count, require_nonnegative, sq_norms, unit_rows
+from .data import EmbeddingSet, LabelSet, PositivePairs, class_means, require_count, require_nonnegative, sq_norms, tile_rows, unit_rows
 from .errors import TrainingDivergenceError
 from .synth import balanced_labels
 
@@ -93,8 +93,7 @@ def _prefix(flat: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def _forward_out(rows: int, hidden: int, width: int):
-    # a norm tile holds at most max(TILE_VALUES, width) values, see data.row_tiles
-    scratch = np.empty(min(rows * width, max(TILE_VALUES, width)))
+    scratch = np.empty(min(rows, tile_rows(width)) * width)  # one norm tile of sq_norms(f)
     return np.empty((rows, hidden)), np.empty((rows, width)), np.empty((rows, 1)), scratch
 
 

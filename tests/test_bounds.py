@@ -115,6 +115,16 @@ class TestSpectralDiameter:
         d, note = spectral_diameter(1.0, 0.0, 0.0)
         assert d == 0.0
 
+    @pytest.mark.parametrize("lambda2_abs", [0.0, 1.0, 2.0])
+    def test_single_vertex_omega_with_positive_lambda1(self, lambda2_abs):
+        """omega = 1 means one vertex, whose lambda1 is 0: with lambda1 > 0 the
+        error names both, directly and through BoundInputs' default omega = 1."""
+        text = "^omega = 1 is a one-vertex subgraph, whose lambda1 is 0, got lambda1 = 2.0$"
+        with pytest.raises(ValueError, match=text):
+            spectral_diameter(1.0, 2.0, lambda2_abs)
+        with pytest.raises(ValueError, match=text):
+            bounds_spectral(BoundInputs(lambda1=2.0, lambda2_abs=lambda2_abs, epsilon=0.1))
+
     def test_edgeless_multi_vertex(self):
         d, note = spectral_diameter(0.5, 0.0, 0.0)
         assert math.isinf(d) and "edgeless" in note

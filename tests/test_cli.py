@@ -544,7 +544,7 @@ def test_metrics_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     the same bytes under one and two BLAS threads."""
     src = Path(augoverlap.__file__).resolve().parents[1]
     n, c, width = 200, 10, 256
-    assert len(metrics._anchor_tiles(n, c)) > 2  # several diagonal and off-diagonal tiles
+    assert len(data.row_tiles(n, c, data.pair_rows())) > 2  # several diagonal and off-diagonal tiles
     # 3-D views lifted to the width, so the ratios lie strictly between 0 and 1
     rng = np.random.default_rng(0)
     anchors, lift = np.repeat(rng.standard_normal((n, 3)), c, axis=0), rng.standard_normal((3, width))

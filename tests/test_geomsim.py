@@ -126,6 +126,15 @@ class TestSampleCaps:
         counts = np.bincount(lab.labels)
         assert abs(counts[0] - counts[1]) <= 1 and counts.sum() == 401
 
+    def test_fewer_points_than_centers(self):
+        """Two points for three centers would leave class 2 empty; the error names n
+        and the number of centers, and n equal to it gives one point per class."""
+        cfg = GeomConfig(d=3, n=2, area=1.0, class_centers=np.eye(3), seed=0)
+        with pytest.raises(ValueError, match="^cap sampling needs a point per class center: n=2 points for 3 centers$"):
+            sample_caps(cfg)
+        _, lab = sample_caps(GeomConfig(d=3, n=3, area=1.0, class_centers=np.eye(3), seed=0))
+        assert lab.labels.tolist() == [0, 1, 2]
+
     def test_rotated_center(self):
         center = np.array([[1.0, 0.0, 0.0]])
         cfg = GeomConfig(d=3, n=100, area=0.5, class_centers=center, seed=1)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from augoverlap import losses, synth
+from augoverlap import data, losses, synth
 from augoverlap.data import TILE_VALUES, EmbeddingSet, LabelSet, PositivePairs, class_means, normalize
 from augoverlap.errors import DegenerateInputError
 from augoverlap.losses import (
@@ -217,6 +217,25 @@ def _estimate(estimator, args, m_negatives, trials, seed):
 REAL_SIZES = (losses.BLOCK_ROWS, TILE_VALUES)
 
 
+def _counted_streams(draws):
+    """``losses._block_streams`` whose draw functions record each (block, start, k) call in ``draws``."""
+    real = losses._block_streams
+
+    def streams(*args):
+        draw = real(*args)
+        return lambda b, start, k: draws.append((b, start, k)) or draw(b, start, k)
+
+    return mock.patch.object(losses, "_block_streams", streams)
+
+
+def _gather_groups(blocks, m_negatives, trials, tile_values):
+    """The (block, start, k) draws of trial groups of at most ``tile_values`` gathered
+    values (or one trial) over the tallest block, block by block."""
+    height = max(hi - lo for lo, hi in blocks)
+    per_group = min(trials, max(1, tile_values // (height * m_negatives)))
+    return [(b, start, min(per_group, trials - start)) for b in range(len(blocks)) for start in range(0, trials, per_group)]
+
+
 class TestMonteCarloStreaming:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -244,10 +263,13 @@ class TestMonteCarloStreaming:
         k = min(k, n)
         args, anchors, pool = _mc_case(estimator, n, k, dim, seed)
         scores = anchors @ pool.T
-        with mock.patch.multiple(losses, ENUMERATION_LIMIT=0, BLOCK_ROWS=sizes[0], TILE_VALUES=sizes[1]):
-            got, stderr = _estimate(estimator, args, m_negatives, trials, seed)
+        draws = []
+        with mock.patch.multiple(losses, ENUMERATION_LIMIT=0, BLOCK_ROWS=sizes[0]), mock.patch.object(data, "TILE_VALUES", sizes[1]):
+            with _counted_streams(draws):
+                got, stderr = _estimate(estimator, args, m_negatives, trials, seed)
             blocks = losses._anchor_blocks(n)
             expected, expected_stderr = _mc_reference(scores, m_negatives, trials, seed)
+        assert draws == _gather_groups(blocks, m_negatives, trials, sizes[1])
         assert blocks[0][0] == 0 and blocks[-1][1] == n
         assert all(hi - lo >= min(2, n) and hi == nxt for (lo, hi), (nxt, _) in zip(blocks, blocks[1:] + [(n, 0)]))
         change = max(float(np.max(np.abs(anchors[lo:hi] @ pool.T - scores[lo:hi]))) for lo, hi in blocks)
@@ -300,9 +322,11 @@ class TestMonteCarloStreaming:
         their bits whatever the gather group: one trial of a block, a few, or all."""
         pairs = synth.ci_pairs(2000, 10, 32, spread=0.3, seed=7)
         results = set()
-        for tile_values in (1, 5000, TILE_VALUES, 10**7):
-            with mock.patch.object(losses, "TILE_VALUES", tile_values):
+        for tile_values, groups in ((1, 50), (5000, 13), (TILE_VALUES, 2), (10**7, 1)):
+            draws = []
+            with mock.patch.object(data, "TILE_VALUES", tile_values), _counted_streams(draws):
                 got = infonce_adjusted(pairs, 16, trials=50, seed=7)
+            assert len(draws) == 32 * groups  # 32 blocks of at most 64 rows, 1024 draws per trial of a block
             results.add((got.value, got.stderr))
         assert len(results) == 1
 

@@ -1,5 +1,7 @@
 """Confusion ratios, relative variants, Pearson correlation and the CI-ratio."""
 
+import contextlib
+import math
 import tracemalloc
 from unittest import mock
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from augoverlap import metrics, synth
+from augoverlap import data, metrics, synth
 from augoverlap.data import TILE_VALUES, ViewSet, sq_distances, sq_norms
 from augoverlap.errors import UndefinedMetricError
 from augoverlap.metrics import STATS, MetricConfig, acr, arc, ci_ratio, confusion_ratios, gacr, garc, pearson
@@ -70,6 +72,18 @@ def _all_configs(n):
 
 # values per tile that force one anchor per tile, a few anchors per tile, and the module's own
 SMALL_TILES = [1, 16, 100, TILE_VALUES]
+
+
+@contextlib.contextmanager
+def _tile_values(tile_values, n, c):
+    """``data.TILE_VALUES`` set to ``tile_values`` inside, and then a check that the
+    confusion core made one ``sq_distances`` call per pair of the tiles of
+    max(1, isqrt(4 * tile_values) // c) anchors that this budget forces."""
+    with mock.patch.object(data, "TILE_VALUES", tile_values), mock.patch.object(metrics, "sq_distances", wraps=sq_distances) as calls:
+        yield
+    tiles = -(-n // max(1, math.isqrt(4 * tile_values) // c))
+    assert calls.call_count == tiles * (tiles + 1) // 2, (calls.call_count, tiles)
+
 
 # A tile pair off the diagonal is a general product and the diagonal tile a smaller
 # symmetric one, so on rows wider than 3 a squared distance may move by a few ulp
@@ -154,7 +168,7 @@ class TestConfusionTiles:
             values = np.round(values)
         v = ViewSet(values, n=n, c=c)
         cfgs = _all_configs(n)
-        with mock.patch.object(metrics, "TILE_VALUES", tile_values):
+        with _tile_values(tile_values, n, c):
             got = metrics._confusions(v, cfgs)
         for cfg, (kth, d_in), (ref_kth, ref_d_in) in zip(cfgs, got, _confusions_full_matrix(v, cfgs)):
             np.testing.assert_array_equal(kth, ref_kth, err_msg=str(cfg))
@@ -179,7 +193,7 @@ class TestConfusionTiles:
         v = ViewSet(values, n=n, c=c)
         atol = RELATIVE_ATOL * float(sq_norms(values).max())
         cfgs = _all_configs(n)
-        with mock.patch.object(metrics, "TILE_VALUES", tile_values):
+        with _tile_values(tile_values, n, c):
             got = metrics._confusions(v, cfgs)
         for cfg, (kth, d_in), (ref_kth, ref_d_in) in zip(cfgs, got, _confusions_full_matrix(v, cfgs)):
             np.testing.assert_allclose(kth, ref_kth, rtol=0, atol=atol, err_msg=str(cfg))
@@ -210,7 +224,7 @@ class TestConfusionTiles:
                 covered[np.ix_(ra, np.arange(len(b)) + first_row(b))] += 1
             return sq_distances(a, b)
 
-        monkeypatch.setattr(metrics, "TILE_VALUES", 1)
+        monkeypatch.setattr(data, "TILE_VALUES", 1)
         monkeypatch.setattr(metrics, "sq_distances", counting)
         metrics.confusion_ratios(v, _all_configs(n))
         assert len(calls) == n * (n + 1) // 2 and sum(calls) == n
