@@ -13,6 +13,7 @@ explicitly and propagated; the functions never return NaN.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -101,19 +102,6 @@ def bounds_no_ci(inputs: BoundInputs) -> tuple[float, float]:
     return lower, upper
 
 
-def _radius_bounds(
-    l_contr: float, diameter: float, epsilon: float, alpha: float, m_negatives: int
-) -> tuple[float, float]:
-    err = _mc_error(m_negatives)
-    sa = 4.0 * math.sqrt(alpha)
-    d_eps = 0.0 if epsilon == 0.0 else diameter * epsilon
-    if math.isinf(d_eps):
-        return -INF, INF
-    upper = l_contr + 2.0 * d_eps + sa + err
-    lower = l_contr - (2.0 + 0.5 * d_eps) * d_eps - sa - err
-    return lower, upper
-
-
 def bounds_radius(inputs: BoundInputs) -> tuple[float, float]:
     """Connected-augmentation-graph sandwich with the D*epsilon alignment budget.
 
@@ -121,7 +109,14 @@ def bounds_radius(inputs: BoundInputs) -> tuple[float, float]:
     product is special-cased, not left to 0*inf); infinite D with epsilon > 0
     propagates infinities.
     """
-    return _radius_bounds(inputs.l_contr, inputs.diameter, inputs.epsilon, inputs.alpha, inputs.m_negatives)
+    err = _mc_error(inputs.m_negatives)
+    sa = 4.0 * math.sqrt(inputs.alpha)
+    d_eps = 0.0 if inputs.epsilon == 0.0 else inputs.diameter * inputs.epsilon
+    if math.isinf(d_eps):
+        return -INF, INF
+    upper = inputs.l_contr + 2.0 * d_eps + sa + err
+    lower = inputs.l_contr - (2.0 + 0.5 * d_eps) * d_eps - sa - err
+    return lower, upper
 
 
 def spectral_diameter(omega: float, lambda1: float, lambda2_abs: float) -> tuple[float, str]:
@@ -159,7 +154,7 @@ def spectral_diameter(omega: float, lambda1: float, lambda2_abs: float) -> tuple
 def bounds_spectral(inputs: BoundInputs) -> tuple[float, float]:
     """Radius sandwich with the diameter replaced by the spectral certificate."""
     d_hat, _ = spectral_diameter(inputs.omega, inputs.lambda1, inputs.lambda2_abs)
-    return _radius_bounds(inputs.l_contr, d_hat, inputs.epsilon, inputs.alpha, inputs.m_negatives)
+    return bounds_radius(dataclasses.replace(inputs, diameter=d_hat))
 
 
 # ---------------------------------------------------------------------------

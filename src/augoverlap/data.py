@@ -8,6 +8,8 @@ File formats (UTF-8, LF line endings):
 * LAB:   ``LAB v1`` / ``n=<N> k=<K>`` / N rows of one integer in [0, K).
 * PAIRS: two EMB files of identical shape, passed as a pair of paths.
 
+Every header count is >= 1: each matrix of the library has a row and a column.
+
 Floats are serialized with 9 significant digits, so canonical files round-trip
 byte-identically. Loaders never normalize; call :func:`normalize` explicitly.
 
@@ -46,10 +48,14 @@ TILE_VALUES = 1 << 15  # values per row tile of the array kernels: a 256 KB floa
 
 
 def checked_matrix(v: np.ndarray, name: str, normalized: bool) -> np.ndarray:
-    """``v`` as a finite, read-only, C-contiguous float64 matrix, with unit-norm rows
-    when ``normalized``; ``name`` names it in the errors. A C-contiguous float64 ``v``
-    is not copied: it comes back itself, now read-only (``normalize`` holds one output
+    """``v`` as a finite, read-only, C-contiguous float64 matrix with at least one row
+    and one column, with unit-norm rows when ``normalized``; ``name`` names it in the
+    errors. This is the library's one shape check. A C-contiguous float64 ``v`` is not
+    copied: it comes back itself, now read-only (``normalize`` holds one output
     because of it). Beyond a copy, the checks hold one row tile and O(rows) values."""
+    shape = np.shape(v)
+    if len(shape) != 2 or 0 in shape:
+        raise ValueError(f"{name} matrix must be 2-D and non-empty, got shape {shape}")
     v = np.ascontiguousarray(v, dtype=np.float64)
     for lo, hi in row_tiles(*v.shape):
         if not np.isfinite(v[lo:hi]).all():
@@ -98,10 +104,7 @@ class EmbeddingSet:
     normalized: bool = False
 
     def __post_init__(self):
-        v = self.values
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"embedding matrix must be 2-D and non-empty, got shape {v.shape}")
-        object.__setattr__(self, "values", checked_matrix(v, "embedding", self.normalized))
+        object.__setattr__(self, "values", checked_matrix(self.values, "embedding", self.normalized))
 
     @property
     def n(self) -> int:
@@ -114,19 +117,25 @@ class EmbeddingSet:
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Integer class labels in [0, k) for n samples."""
+    """Integer class labels in [0, k) for n samples, given as integers, bools or integral floats."""
 
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int64)
+        lab = np.asarray(self.labels)
         if lab.ndim != 1 or lab.shape[0] < 1:
             raise ValueError("labels must be a non-empty 1-D array")
         require_count(1, k=self.k)
+        if lab.dtype.kind not in "biu":
+            lab = np.asarray(lab, dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(lab) | (lab != np.floor(lab)))
+            if bad.size:
+                raise ValueError(f"label {lab[bad[0]]} at index {bad[0]} is not an integer")
         if lab.min() < 0 or lab.max() >= self.k:
             bad = int(lab[(lab < 0) | (lab >= self.k)][0])
             raise ValueError(f"label {bad} out of range [0, {self.k})")
+        lab = np.asarray(lab, dtype=np.int64)
         lab.flags.writeable = False
         object.__setattr__(self, "labels", lab)
 
@@ -145,11 +154,11 @@ class ViewSet:
     normalized: bool = False
 
     def __post_init__(self):
-        v = self.values
         require_count(1, n=self.n, c=self.c)
-        if v.ndim != 2 or v.shape[0] != self.n * self.c:
+        v = checked_matrix(self.values, "view", self.normalized)
+        if v.shape[0] != self.n * self.c:
             raise ValueError(f"expected {self.n * self.c} rows, got {v.shape[0]}")
-        object.__setattr__(self, "values", checked_matrix(v, "view", self.normalized))
+        object.__setattr__(self, "values", v)
 
     @property
     def m(self) -> int:
@@ -300,10 +309,9 @@ def class_means(values: np.ndarray, labels: LabelSet) -> np.ndarray:
 # parsing helpers
 
 
-def _read_file(path, magic: str, fields: str, zero_ok: str = "") -> tuple[list[str], tuple[int, ...]]:
+def _read_file(path, magic: str, fields: str) -> tuple[list[str], tuple[int, ...]]:
     """The lines of a file whose line 1 is ``magic`` and whose line 2 holds
-    ``name=<int>`` for each name in ``fields``, and those integers, each >= 1
-    unless its name is in ``zero_ok``."""
+    ``name=<int>`` for each name in ``fields``, and those integers, each >= 1."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -315,20 +323,20 @@ def _read_file(path, magic: str, fields: str, zero_ok: str = "") -> tuple[list[s
         raise ParseError(f"{path}: line 2: malformed header {header!r}")
     values = tuple(int(v) for v in m.groups())
     for name, value in zip(fields.split(), values):
-        if value == 0 and name not in zero_ok.split():
+        if value == 0:
             raise ParseError(f"{path}: line 2: {name} must be >= 1, got 0")
     return lines, values
 
 
 def _parse_rows(lines: list[str], cols: int, dtype, valid, parse_row, path) -> np.ndarray:
-    """The data rows ``lines[2:]`` (at least one) as a (rows, cols) array from one
-    ``np.loadtxt`` call. If it fails, skips a blank row, has another shape or fails
-    ``valid``, each row is parsed by ``parse_row(line, where)``, which raises at the
-    first bad line. loadtxt warns when it finds no data, so zero-column rows and a
-    blank first row take the per-row parse directly."""
+    """The data rows ``lines[2:]`` (at least one, of ``cols`` >= 1 values) as a (rows,
+    cols) array from one ``np.loadtxt`` call. If it fails, skips a blank row, has
+    another shape or fails ``valid``, each row is parsed by ``parse_row(line, where)``,
+    which raises at the first bad line. loadtxt warns when it finds no data, so a
+    blank first row takes the per-row parse directly."""
     rows = len(lines) - 2
     try:
-        values = np.loadtxt(lines[2:], dtype=dtype, comments=None, ndmin=2) if cols and lines[2].strip() else None
+        values = np.loadtxt(lines[2:], dtype=dtype, comments=None, ndmin=2) if lines[2].strip() else None
     except ValueError:  # a bad token, a ragged row or a carriage return inside a row
         values = None
     if values is not None and values.shape == (rows, cols) and valid(values):
@@ -366,7 +374,7 @@ def load_embeddings(path) -> EmbeddingSet:
 
 
 def load_views(path) -> ViewSet:
-    lines, (n, c, m) = _read_file(path, "VIEWS v1", "n c dim", zero_ok="dim")  # zero-column views round-trip
+    lines, (n, c, m) = _read_file(path, "VIEWS v1", "n c dim")
     return ViewSet(_parse_matrix(lines, n * c, m, path), n=n, c=c)
 
 
@@ -504,9 +512,6 @@ def _format_matrix(header: str, values: np.ndarray) -> bytearray:
     a block of rows at a time, ``row_tiles(rows, cols, _FORMAT_VALUES)``."""
     rows, cols = values.shape
     out = bytearray(header.encode("ascii"))
-    if cols == 0:
-        out += b"\n" * (rows + 1)
-        return out
     tiles = row_tiles(rows, cols, _FORMAT_VALUES)
     newline = np.zeros(tiles[0][1] * cols, np.intp)  # the first tile is the longest
     newline[::cols] = 5

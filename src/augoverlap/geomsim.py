@@ -40,7 +40,7 @@ class GeomConfig:
         _require_area(self.area)
         require_nonnegative(noise_r=self.noise_r)
         if self.class_centers is not None:
-            centers = checked_matrix(np.atleast_2d(self.class_centers), "class center", normalized=True)
+            centers = checked_matrix(self.class_centers, "class center", normalized=True)
             if centers.shape[1] != self.d:
                 raise ValueError(f"class_centers must have d={self.d} columns, got {centers.shape[1]}")
             object.__setattr__(self, "class_centers", centers)
@@ -187,14 +187,13 @@ def _nn_far_mst(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def longest_mst_edge(points: np.ndarray) -> float:
     """Exact connectivity radius of one sample: the longest minimum-spanning-tree
-    edge, by one Prim pass in O(n) memory. ``points`` must be a finite 2-D array; a
-    float64 C-contiguous one is marked read-only."""
-    if points.ndim != 2:
-        raise ValueError(f"longest_mst_edge needs a 2-D array of points, got shape {points.shape}")
+    edge, by one Prim pass in O(n) memory. ``points`` must be a finite matrix of at
+    least 2 rows; a float64 C-contiguous one is marked read-only."""
+    points = checked_matrix(points, "point", normalized=False)
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"longest_mst_edge needs at least 2 points, got n={n}")
-    return float(_nn_far_mst(checked_matrix(points, "point", normalized=False))[2].max())
+    return float(_nn_far_mst(points)[2].max())
 
 
 def mst_trials(cfg: GeomConfig, trials: int):

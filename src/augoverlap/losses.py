@@ -191,16 +191,11 @@ def class_stats(e: EmbeddingSet, labels: LabelSet) -> ClassStats:
     return ClassStats(means=means, cond_variance=cond_var)
 
 
-def alignment_uniformity(pairs: PositivePairs, sample_budget: int = 0, seed: int = 0) -> tuple[float, float]:
-    """Mean and max positive-pair feature distance (the empirical epsilon)."""
-    require_count(0, sample_budget=sample_budget)
+def alignment_uniformity(pairs: PositivePairs) -> tuple[float, float]:
+    """Mean and max positive-pair feature distance over every pair (the max is the
+    empirical epsilon)."""
     require_normalized(pairs.left, pairs.right)
-    left, right = pairs.left.values, pairs.right.values
-    if sample_budget and pairs.n > sample_budget:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(pairs.n, size=sample_budget, replace=False)
-        left, right = left[idx], right[idx]
-    dists = np.sqrt(sq_norms(left - right))
+    dists = np.sqrt(sq_norms(pairs.left.values - pairs.right.values))
     return float(dists.mean()), float(dists.max())
 
 

@@ -53,7 +53,6 @@ CASES = [
     ("infonce_adjusted", "trials", 1, lambda v: losses.infonce_adjusted(_pairs(), 1, trials=v)),
     ("mc_negative_term", "m_negatives", 1, lambda v: _mc(v, 1)),
     ("mc_negative_term", "trials", 1, lambda v: _mc(1, v)),
-    ("alignment_uniformity", "sample_budget", 0, lambda v: losses.alignment_uniformity(_pairs(), sample_budget=v)),
     ("MetricConfig", "k", 1, lambda v: metrics.MetricConfig(k=v)),
     ("TrainConfig", "epochs", 1, lambda v: trainer.TrainConfig(epochs=v)),
     ("TrainConfig", "hidden_size", 1, lambda v: trainer.TrainConfig(hidden_size=v)),

@@ -358,7 +358,7 @@ class TestMst:
         [
             ([[0.0, 0.0], [1.0, 0.0], [math.nan, 0.0], [3.0, 0.0]], "point matrix contains non-finite values"),
             ([[0.0, 0.0], [math.inf, 0.0]], "point matrix contains non-finite values"),
-            ([0.0, 1.0, 3.0], r"2-D array of points, got shape \(3,\)"),
+            ([0.0, 1.0, 3.0], r"^point matrix must be 2-D and non-empty, got shape \(3,\)$"),
         ],
         ids=["nan", "inf", "1-d"],
     )

@@ -505,11 +505,6 @@ class TestAlignmentUniformity:
         mean_d, max_d = alignment_uniformity(PositivePairs(left, right))
         assert max_d == pytest.approx(math.sqrt(2.0))
 
-    def test_sample_budget_seeded(self):
-        pairs = synth.ci_pairs(100, 2, 8, seed=0)
-        a = alignment_uniformity(pairs, sample_budget=10, seed=3)
-        assert a == alignment_uniformity(pairs, sample_budget=10, seed=3)
-
 
 class TestLabelConsistencyAlpha:
     def test_values(self):
