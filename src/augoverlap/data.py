@@ -165,6 +165,8 @@ class ViewSet:
         return self.values.shape[1]
 
     def views_of(self, i: int) -> np.ndarray:
+        if not 0 <= i < self.n:
+            raise IndexError(f"anchor index {i} out of range for n={self.n}")
         return self.values[i * self.c : (i + 1) * self.c]
 
 

@@ -185,11 +185,15 @@ def garc(final_views: ViewSet, init_views: ViewSet, cfg: MetricConfig = MetricCo
 
 
 def pearson(xs, ys) -> float:
-    """Sample Pearson correlation coefficient."""
+    """Sample Pearson correlation coefficient of two finite sequences."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length 1-D sequences of length >= 2")
+    for name, v in (("xs", x), ("ys", y)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"{name} value {v[bad[0]]} at index {bad[0]} is not finite")
     xc, yc = x - x.mean(), y - y.mean()
     denom = np.sqrt(np.sum(xc**2) * np.sum(yc**2))
     if denom == 0.0:

@@ -7,12 +7,15 @@ tanh hidden nonlinearity and the unit-norm output projection; the training
 loop is single-threaded and bit-deterministic for a given seed.
 
 One encoder pass serves training and encoding. ``forward``, ``backward`` and
-``infonce_batch_loss`` write into the buffers passed as ``out`` and allocate
-fresh ones when it is None. ``train_contrastive`` allocates one step
-workspace per call, sized to min(batch_size, n) rows, and every step reuses
-it; the smaller last batch uses the leading values of each flat buffer,
-reshaped, so every ``out=`` stays C-contiguous. ``encode_array`` allocates
-only its output, the hidden activations, the row norms and one norm tile.
+``infonce_batch_loss`` write into the buffers passed as ``out``, which may
+hold more rows than the batch, and allocate fresh ones when it is None. A
+b-row pass uses the leading b rows of each 2-D buffer and the leading values
+of each flat one, reshaped, so every ``out=`` stays C-contiguous: with a
+strided ``out``, numpy's matmul leaves BLAS, which gives other bits.
+``train_contrastive`` allocates one set of buffers per call, sized to
+min(batch_size, n) rows, and every step reuses it. ``encode_array``
+allocates only its output, the hidden activations, the row norms and one
+norm tile.
 
 Every arithmetic operation keeps the operands and the order of the one-shot
 expressions, and the random draws are the same calls in the same order, so
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,34 +95,35 @@ def _prefix(flat: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def _forward_out(rows: int, hidden: int, width: int):
-    scratch = np.empty(min(rows, tile_rows(width)) * width)  # one norm tile of sq_norms(f)
-    return np.empty((rows, hidden)), np.empty((rows, width)), np.empty((rows, 1)), scratch
+    return np.empty((rows, hidden)), np.empty((rows, width)), np.empty((rows, 1))
 
 
 def _gradients_out(params: EncoderParams):
     return tuple(np.empty_like(p) for p in (params.w1, params.b1, params.w2, params.b2))
 
 
-def _backward_out(params: EncoderParams, rows: int):
-    hidden, width = params.w2.shape
-    scratch = np.empty(rows * max(hidden, width))
-    return (*_gradients_out(params), np.empty((rows, hidden)), np.empty((rows, 1)), scratch)
+def _work_out(rows: int, hidden: int, width: int):
+    """``da``, ``inner`` and the flat scratch: the norm tile, then backward's t and 1 - a**2."""
+    return np.empty((rows, hidden)), np.empty((rows, 1)), np.empty(rows * max(hidden, width))
 
 
 def _loss_out(rows: int, width: int, subset: bool):
-    keys, mask = (np.empty((rows, rows)), np.empty((rows, rows))) if subset else (None, None)
-    grads = (np.empty((rows, width)), np.empty((rows, width)))
-    return np.empty((rows, rows)), *grads, np.empty((3, rows)), keys, mask
+    keys, mask = (np.empty(rows * rows), np.empty(rows * rows)) if subset else (None, None)
+    return np.empty(rows * rows), np.empty((rows, width)), np.empty((rows, width)), np.empty(3 * rows), keys, mask
 
 
 def forward(params: EncoderParams, x: np.ndarray, out=None):
     """Unit-norm features plus the cache ``(x, a, norms, f)`` needed for backprop.
 
     ``out`` = ``(a, f, norms, scratch)`` receives the tanh activations (rows,
-    hidden), the features (rows, out_dim) and their norms (rows, 1); the flat
-    ``scratch`` holds one norm tile. None allocates them.
+    hidden), the features (rows, out_dim) and their norms (rows, 1) in its
+    leading rows; the flat ``scratch`` holds one norm tile. None allocates them.
     """
-    a, f, norms, scratch = _forward_out(x.shape[0], *params.w2.shape) if out is None else out
+    rows, width = x.shape[0], params.w2.shape[1]
+    if out is None:
+        out = (*_forward_out(rows, *params.w2.shape), np.empty(min(rows, tile_rows(width)) * width))
+    a, f, norms, scratch = out
+    a, f, norms = a[:rows], f[:rows], norms[:rows]
     np.matmul(x, params.w1, out=a)
     a += params.b1
     np.tanh(a, out=a)
@@ -141,11 +144,16 @@ def backward(params: EncoderParams, cache, grad_f: np.ndarray, out=None):
     """Gradients ``(dw1, db1, dw2, db2)`` of a scalar loss w.r.t. all parameters, given dL/df.
 
     ``out`` = ``(dw1, db1, dw2, db2, da, inner, scratch)`` receives the gradients;
-    ``da`` (rows, hidden), ``inner`` (rows, 1) and the flat ``scratch`` of
-    rows * max(hidden, out_dim) values are work space. None allocates them.
+    the leading rows of ``da`` (rows, hidden) and ``inner`` (rows, 1) and the flat
+    ``scratch`` of rows * max(hidden, out_dim) values are work space. None
+    allocates them.
     """
     x, a, norms, f = cache
-    dw1, db1, dw2, db2, da, inner, scratch = _backward_out(params, f.shape[0]) if out is None else out
+    rows = f.shape[0]
+    if out is None:
+        out = (*_gradients_out(params), *_work_out(rows, *params.w2.shape))
+    dw1, db1, dw2, db2, da, inner, scratch = out
+    da, inner = da[:rows], inner[:rows]
     # through the unit-norm projection: t = (g - f (f.g)) / ||z||
     t = _prefix(scratch, *f.shape)
     np.multiply(f, grad_f, out=t)
@@ -195,9 +203,10 @@ def infonce_batch_loss(f1: np.ndarray, f2: np.ndarray, m_negatives: int | None =
     function of the rng state.
 
     ``out`` = ``(scores, grad_f1, grad_f2, vectors, keys, mask)`` receives the
-    (b, b) score weights and the two gradients; ``vectors`` (3, b) is work space,
-    and so are ``keys`` and ``mask`` (b, b), which may be None without
-    subsetting. None allocates them.
+    (b, b) score weights in the leading values of the flat ``scores`` and the two
+    gradients in the leading b rows of ``grad_f1`` and ``grad_f2``; the flat
+    ``vectors`` (3b values), ``keys`` and ``mask`` (b * b values each, None
+    without subsetting) are work space. None allocates them.
     """
     b = f1.shape[0]
     if b < 2:
@@ -208,14 +217,16 @@ def infonce_batch_loss(f1: np.ndarray, f2: np.ndarray, m_negatives: int | None =
             raise ValueError("m_negatives subsetting needs an rng")
         require_count(1, m_negatives=m_negatives)
     scores, grad_f1, grad_f2, vectors, keys, mask = _loss_out(b, f1.shape[1], subset) if out is None else out
-    row_sums, terms, positives = vectors
+    scores, grad_f1, grad_f2 = _prefix(scores, b, b), grad_f1[:b], grad_f2[:b]
+    row_sums, terms, positives = _prefix(vectors, 3, b)
     np.matmul(f1, f2.T, out=scores)
     np.copyto(positives, scores.diagonal())
     np.exp(scores, out=scores)
     if subset:
+        keys = _prefix(keys, b, b)
         rng.random(out=keys)
         np.fill_diagonal(keys, np.inf)  # the positive is never a negative
-        scores *= _negative_mask(keys, m_negatives, mask)
+        scores *= _negative_mask(keys, m_negatives, _prefix(mask, b, b))
         counts = m_negatives
     else:
         np.fill_diagonal(scores, 0.0)  # exp is finite, so this is exp * ~eye
@@ -235,41 +246,6 @@ def infonce_batch_loss(f1: np.ndarray, f2: np.ndarray, m_negatives: int | None =
     return loss, grad_f1, grad_f2
 
 
-class _StepWorkspace:
-    """Every buffer of a training step of up to ``rows`` rows, allocated once.
-
-    ``views(b)`` shapes the leading values of each flat buffer for a b-row step,
-    so a smaller last batch keeps every ``out=`` C-contiguous: with a strided
-    ``out``, numpy's matmul leaves BLAS, which gives other bits.
-    """
-
-    def __init__(self, params: EncoderParams, rows: int, subset: bool):
-        m_in, hidden = params.w1.shape
-        width = params.w2.shape[1]
-        self._columns = {
-            **dict.fromkeys(("anchors", "x1", "x2"), m_in),
-            **dict.fromkeys(("a1", "a2", "da"), hidden),
-            **dict.fromkeys(("f1", "f2", "g1", "g2"), width),
-            **dict.fromkeys(("norms1", "norms2", "inner"), 1),
-        }
-        self._square = ("scores", "keys", "mask") if subset else ("scores",)
-        self._flat = {name: np.empty(rows * cols) for name, cols in self._columns.items()}
-        self._flat.update((name, np.empty(rows * rows)) for name in self._square)
-        self._flat["vectors"] = np.empty(3 * rows)
-        self.scratch = np.empty(rows * max(hidden, width))  # flat: the norm tile, then backward's t and 1 - a**2
-        self.grads = [_gradients_out(params) for _ in range(2)]
-        self._views = {}
-
-    def views(self, b: int) -> SimpleNamespace:
-        if b not in self._views:
-            flat = self._flat
-            shaped = {"keys": None, "mask": None}
-            shaped.update((name, _prefix(flat[name], b, cols)) for name, cols in self._columns.items())
-            shaped.update((name, _prefix(flat[name], b, b)) for name in self._square)
-            self._views[b] = SimpleNamespace(**shaped, vectors=_prefix(flat["vectors"], 3, b))
-        return self._views[b]
-
-
 def train_contrastive(data: EmbeddingSet, cfg: TrainConfig) -> TrainResult:
     """Minibatch SGD on the adjusted in-batch InfoNCE with fresh augmentation
     noise each step. Returns the final parameters, the epoch-1 checkpoint and
@@ -281,8 +257,12 @@ def train_contrastive(data: EmbeddingSet, cfg: TrainConfig) -> TrainResult:
     params = init_params(data.m, cfg.hidden_size, cfg.out_dim, seed=cfg.seed)
     weights = (params.w1, params.b1, params.w2, params.b2)  # updated in place
     n = data.n
-    rows = min(cfg.batch_size, n)
-    work = _StepWorkspace(params, rows, cfg.m_negatives is not None and cfg.m_negatives < rows - 1)
+    rows = min(cfg.batch_size, n)  # one set of step buffers; a b-row step uses their leading rows
+    anchors, x1, x2 = np.empty((3, rows, data.m))
+    out1, out2 = (_forward_out(rows, cfg.hidden_size, cfg.out_dim) for _ in range(2))
+    da, inner, scratch = _work_out(rows, cfg.hidden_size, cfg.out_dim)  # shared by all four passes
+    loss_out = _loss_out(rows, cfg.out_dim, cfg.m_negatives is not None and cfg.m_negatives < rows - 1)
+    grads = _gradients_out(params), _gradients_out(params)
     step = 0
     trace = []
     params_epoch1 = None
@@ -295,18 +275,17 @@ def train_contrastive(data: EmbeddingSet, cfg: TrainConfig) -> TrainResult:
                     idx = order[start : start + cfg.batch_size]
                     if idx.size < 2:
                         continue
-                    w = work.views(idx.size)
-                    np.take(data.values, idx, axis=0, out=w.anchors)
-                    for x in (w.x1, w.x2):  # anchors + noise_r * rng.random((b, m))
+                    b = idx.size
+                    np.take(data.values, idx, axis=0, out=anchors[:b])
+                    for x in (x1[:b], x2[:b]):  # anchors + noise_r * rng.random((b, m))
                         rng.random(out=x)
                         x *= cfg.noise_r
-                        x += w.anchors
-                    f1, cache1 = forward(params, w.x1, (w.a1, w.f1, w.norms1, work.scratch))
-                    f2, cache2 = forward(params, w.x2, (w.a2, w.f2, w.norms2, work.scratch))
-                    loss_out = (w.scores, w.g1, w.g2, w.vectors, w.keys, w.mask)
+                        x += anchors[:b]
+                    f1, cache1 = forward(params, x1[:b], (*out1, scratch))
+                    f2, cache2 = forward(params, x2[:b], (*out2, scratch))
                     loss, g1, g2 = infonce_batch_loss(f1, f2, cfg.m_negatives, rng, loss_out)
-                    grads_a = backward(params, cache1, g1, (*work.grads[0], w.da, w.inner, work.scratch))
-                    grads_b = backward(params, cache2, g2, (*work.grads[1], w.da, w.inner, work.scratch))
+                    grads_a = backward(params, cache1, g1, (*grads[0], da, inner, scratch))
+                    grads_b = backward(params, cache2, g2, (*grads[1], da, inner, scratch))
                     for p, d_a, d_b in zip(weights, grads_a, grads_b):  # p - lr * (d_a + d_b)
                         d_a += d_b
                         d_a *= cfg.learning_rate

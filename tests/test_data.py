@@ -96,6 +96,10 @@ class TestViewSet:
     def test_views_of(self):
         v = ViewSet(np.arange(12.0).reshape(6, 2), n=3, c=2)
         assert np.array_equal(v.views_of(1), v.values[2:4])
+        assert np.array_equal(v.views_of(2), v.values[4:6])
+        for i in (3, 5, -1):  # once an empty (0, 2) slice
+            with pytest.raises(IndexError, match=f"^anchor index {i} out of range for n=3$"):
+                v.views_of(i)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="expected 6 rows"):

@@ -385,6 +385,18 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "xs, ys, text",
+        [
+            ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0], "xs value nan at index 1"),  # once a nan correlation
+            ([1.0, 2.0, 3.0], [1.0, 2.0, -math.inf], "ys value -inf at index 2"),
+            ([math.inf, 2.0, math.nan], [math.nan, 2.0, 3.0], "xs value inf at index 0"),
+        ],
+    )
+    def test_non_finite_value_is_named(self, xs, ys, text):
+        with pytest.raises(ValueError, match=f"^{text} is not finite$"):
+            pearson(xs, ys)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=10),

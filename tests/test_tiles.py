@@ -74,8 +74,10 @@ def test_every_loop_keeps_the_parent_bounds(rows, width, budget, tile_values, n,
             lo = hi
         assert heights == expected
 
-        # the encoder's norm scratch holds sq_norms' largest tile, and no more than before
-        scratch = trainer._forward_out(rows, 3, width)[3]
+        # the norm scratch forward allocates holds sq_norms' largest tile, and no more than before
+        with mock.patch.object(trainer, "sq_norms", wraps=data.sq_norms) as norms:
+            trainer.forward(trainer.init_params(1, 3, width), np.ones((rows, 1)))
+        scratch = norms.call_args.kwargs["scratch"]
         assert max([(hi - lo) * width for lo, hi in row_tiles(rows, width)], default=0) <= scratch.size <= min(rows * width, max(tile_values, width))
 
 

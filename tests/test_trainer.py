@@ -17,7 +17,11 @@ from augoverlap.geomsim import GeomConfig, sample_caps
 from augoverlap.trainer import (
     EncoderParams,
     TrainConfig,
+    _forward_out,
+    _gradients_out,
+    _loss_out,
     _negative_mask,
+    _work_out,
     backward,
     counterexample_prop53,
     encode_array,
@@ -284,9 +288,12 @@ class TestMatchesReference:
         hidden=st.sampled_from([3, 16, 128]),
         out_dim=st.sampled_from([2, 7, 256]),
         m_negatives=st.sampled_from([None, 1, 3, 16, 300]),
+        extra=st.integers(1, 40),
         seed=st.integers(0, 2**31),
     )
-    def test_forward_backward_and_loss(self, b, m_in, hidden, out_dim, m_negatives, seed):
+    def test_forward_backward_and_loss(self, b, m_in, hidden, out_dim, m_negatives, extra, seed):
+        """Each pass has the reference's bits, both allocating and writing into
+        buffers with ``extra`` rows beyond b, of which it uses the leading rows."""
         rng = np.random.default_rng(seed)
         params = init_params(m_in, hidden, out_dim, seed=seed)
         v1, v2 = rng.standard_normal((2, b, m_in))
@@ -304,6 +311,27 @@ class TestMatchesReference:
         for cache, r_cache, g in ((cache1, r_cache1, g1), (cache2, r_cache2, g2)):
             for grad, r_grad in zip(backward(params, cache, g), _reference_backward(params, r_cache, g)):
                 np.testing.assert_array_equal(grad, r_grad)
+
+        def filled(buffers):  # nan beyond the leading rows would show in the results
+            for buffer in buffers:
+                buffer.fill(np.nan)
+            return buffers
+
+        rows = b + extra
+        da, inner, scratch = filled(_work_out(rows, hidden, out_dim))
+        e1, e_cache1 = forward(params, v1, (*filled(_forward_out(rows, hidden, out_dim)), scratch))
+        e2, e_cache2 = forward(params, v2, (*filled(_forward_out(rows, hidden, out_dim)), scratch))
+        np.testing.assert_array_equal(e1, f1)
+        np.testing.assert_array_equal(e2, f2)
+        loss_out = filled(_loss_out(rows, out_dim, subset=True))
+        e_loss, e_g1, e_g2 = infonce_batch_loss(e1, e2, m_negatives, np.random.default_rng(seed), loss_out)
+        assert e_loss == loss
+        np.testing.assert_array_equal(e_g1, g1)
+        np.testing.assert_array_equal(e_g2, g2)
+        for cache, e_cache, g in ((cache1, e_cache1, g1), (cache2, e_cache2, g2)):
+            e_grads = backward(params, e_cache, g, (*filled(_gradients_out(params)), da, inner, scratch))
+            for e_grad, grad in zip(e_grads, backward(params, cache, g)):
+                np.testing.assert_array_equal(e_grad, grad)
 
     def test_negative_mask_tie_at_the_mth_key(self):
         """A tie at a row's m-th smallest key would keep m + 1 columns; the mask
@@ -352,7 +380,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("m_negatives", [None, 16])
     def test_train_contrastive_peak_is_the_workspace(self, m_negatives):
-        """One step workspace of b = 256 rows, reused by every step: two sets of
+        """One set of step buffers of b = 256 rows, reused by every step: two sets of
         gradients plus, per row, the anchors and two views (3 m), two activations
         and da (3 hidden), two features and their gradients (4 out_dim), the norms,
         inner and three loss vectors, the scratch (max(hidden, out_dim)), the b
@@ -374,6 +402,24 @@ class TestMemory:
         # the parameters and the epoch-1 copy, the permutation, and two ufunc buffers
         slack = 2 * param_bytes + 8 * n + 2 * 8 * 8192
         assert peak <= workspace + slack, (peak, workspace)
+
+    @pytest.mark.parametrize("m_negatives", [None, 16])
+    def test_train_contrastive_allocates_once_per_call(self, monkeypatch, m_negatives):
+        """The step buffers are allocated once per call, which the peak above cannot
+        show, since a step's buffers would be freed before the next: the np.empty and
+        np.empty_like calls do not grow with the steps (2 epochs of 3, 5 and 6 steps,
+        the last of 10 rows). The epochs stay fixed, since each draws one permutation."""
+        counts = []
+        for n in (600, 1200, 1290):
+            emb = EmbeddingSet(np.random.default_rng(0).standard_normal((n, 3)))
+            calls = []
+            with monkeypatch.context() as patch:
+                for name in ("empty", "empty_like"):
+                    real = getattr(np, name)
+                    patch.setattr(np, name, lambda *args, real=real, **kwargs: calls.append(1) or real(*args, **kwargs))
+                train_contrastive(emb, TrainConfig(epochs=2, batch_size=256, hidden_size=8, out_dim=4, m_negatives=m_negatives))
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts == [counts[0]] * 3, counts
 
 
 class TestTrainContrastive:
