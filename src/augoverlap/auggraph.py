@@ -16,9 +16,9 @@ distance lies within 2**-43 of the largest squared row norm, as in the
 ``metrics`` confusion core, and an edge can flip only at such a near-tie.
 
 Every graph quantity is computed from one representation, the dense boolean
-adjacency returned by ``AugGraph.neighbors()``: components by a frontier
-sweep, per-class diameters and bipartiteness by an all-source
-level-synchronous BFS, and per-class spectra by ``numpy.linalg.eigh``.
+adjacency returned by ``AugGraph.neighbors()``: components, connectivity and
+bipartiteness by one frontier sweep per component, connected classes'
+diameters by an all-source BFS, and per-class spectra by ``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -114,23 +114,26 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
     return AugGraph(n=n, edges=edges, threshold=threshold, metric=metric, scores=scores)
 
 
-def _components(adj: np.ndarray) -> list:
-    """Connected components of a boolean adjacency by frontier sweeps."""
+def _levels(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One frontier sweep per component of a boolean adjacency, from its lowest
+    vertex: (root, level), each vertex's component root and BFS level. An edge
+    joining two vertices of one level closes an odd cycle, so the graph is
+    bipartite exactly when no edge does."""
     n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    groups = []
+    root, level = np.full(n, -1), np.zeros(n, dtype=np.intp)
     for start in range(n):
-        if seen[start]:
-            continue
-        frontier = np.zeros(n, dtype=bool)
-        frontier[start] = True
-        reach = frontier.copy()
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~reach
-            reach |= frontier
-        seen |= reach
-        groups.append(np.flatnonzero(reach).tolist())
-    return groups
+        if root[start] < 0:  # the lowest vertex of a component not swept yet
+            frontier, depth = np.arange(n) == start, 0
+            while frontier.any():
+                root[frontier], level[frontier] = start, depth
+                frontier = adj[frontier].any(axis=0) & (root < 0)
+                depth += 1
+    return root, level
+
+
+def _components(adj: np.ndarray) -> list:
+    root = _levels(adj)[0]  # each component's lowest vertex, so np.unique keeps their order
+    return [np.flatnonzero(root == r).tolist() for r in np.unique(root)]
 
 
 def connected_components(g: AugGraph) -> list:
@@ -139,35 +142,31 @@ def connected_components(g: AugGraph) -> list:
     return _components(g.neighbors())
 
 
-def _bfs(block: np.ndarray) -> tuple[float, bool]:
-    """All-source, level-synchronous BFS on a square boolean block: (diameter,
-    bipartite). Row r of ``frontier`` holds the current level from source
-    ``active[r]``, the sources still growing. The diameter is inf when some
-    source misses a vertex. An edge joining two vertices of one level closes an
-    odd cycle, so the block is bipartite exactly when no level has one."""
+def _bfs(block: np.ndarray) -> float:
+    """Diameter of a connected square boolean block by an all-source,
+    level-synchronous BFS. Row r of ``frontier`` holds the current level from
+    source ``active[r]``, the sources still growing."""
     # float32 products go through BLAS; their 0/1 sums are exact below 2**24
     weights = block.astype(np.float32)
-    reach = np.eye(block.shape[0], dtype=bool)
-    active = np.arange(block.shape[0])
-    frontier = reach
-    levels, bipartite = 0, True
+    frontier = reach = np.eye(block.shape[0], dtype=bool)
+    active, levels = np.arange(block.shape[0]), 0
     while True:
-        step = (frontier.astype(np.float32) @ weights) > 0
-        bipartite = bipartite and not (step & frontier).any()
-        frontier = step & ~reach[active]
+        frontier = ((frontier.astype(np.float32) @ weights) > 0) & ~reach[active]
         live = frontier.any(axis=1)
         if not live.any():
-            break
+            return float(levels)
         active, frontier = active[live], frontier[live]
         reach[active] |= frontier
         levels += 1
-    return (float(levels) if reach.all() else INF), bipartite
 
 
 def subgraph_diameter(adj: np.ndarray, members: list) -> float:
     """All-pairs BFS diameter of a vertex subset of a boolean adjacency; inf if
-    the subset is not connected."""
-    return _bfs(adj[np.ix_(members, members)])[0]
+    the subset is not connected. The members must be distinct and non-empty."""
+    if not 0 < len(set(members)) == len(members):
+        raise ValueError(f"members must be distinct and non-empty, got {members}")
+    block = adj[np.ix_(members, members)]
+    return INF if _levels(block)[0].any() else _bfs(block)
 
 
 def adjacency_spectrum(a: np.ndarray) -> tuple[float, float, float]:
@@ -193,11 +192,12 @@ def class_graph_stats(block: np.ndarray) -> ClassGraphStats:
     intra-class block of the boolean adjacency; a disconnected block gets no
     spectrum (zeros)."""
     size = block.shape[0]
-    diameter, bipartite = _bfs(block)
-    if math.isinf(diameter):
+    root, level = _levels(block)
+    bipartite = not (block & (level[:, None] == level)).any()
+    if root.any():
         return ClassGraphStats(size=size, connected=False, diameter=INF, lambda1=0.0, lambda2_abs=0.0, omega=0.0, bipartite=bipartite)
     lam1, lam2, omega = adjacency_spectrum(block.astype(np.float64))
-    return ClassGraphStats(size=size, connected=True, diameter=diameter, lambda1=lam1, lambda2_abs=lam2, omega=omega, bipartite=bipartite)
+    return ClassGraphStats(size=size, connected=True, diameter=_bfs(block), lambda1=lam1, lambda2_abs=lam2, omega=omega, bipartite=bipartite)
 
 
 def graph_stats(g: AugGraph, labels: LabelSet) -> GraphStats:

@@ -113,6 +113,8 @@ def nn_distance_closed_form(k: int, d: int, area: float, n: int) -> float:
     uniform points over a region of measure ``area`` (leading-order expansion)."""
     require_count(3, n=n)
     require_count(1, d=d, k=k)
+    if k > n - 1:
+        raise ValueError(f"k must be at most n - 1, got k={k} for n={n}")
     _require_area(area)
     prefactor = math.gamma(d / 2.0 + 1.0) ** (1.0 / d) / math.sqrt(math.pi)
     ratio = math.exp(math.lgamma(k + 1.0 / d) - math.lgamma(float(k)))

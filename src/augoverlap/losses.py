@@ -55,7 +55,7 @@ class LossValue:
     def __post_init__(self):
         if self.components is not None:
             pos, neg = self.components
-            if abs(self.value - (pos + neg)) > 1e-9:
+            if not abs(self.value - (pos + neg)) <= 1e-9:  # also fails on a nan value or component
                 raise ValueError("loss value does not match its positive+negative decomposition")
 
 

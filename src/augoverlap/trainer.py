@@ -276,7 +276,8 @@ def train_contrastive(data: EmbeddingSet, cfg: TrainConfig) -> TrainResult:
                     if idx.size < 2:
                         continue
                     b = idx.size
-                    np.take(data.values, idx, axis=0, out=anchors[:b])
+                    # a permutation's indices are in range; "clip" writes into out without the copy "raise" makes
+                    np.take(data.values, idx, axis=0, out=anchors[:b], mode="clip")
                     for x in (x1[:b], x2[:b]):  # anchors + noise_r * rng.random((b, m))
                         rng.random(out=x)
                         x *= cfg.noise_r

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy.sparse.csgraph import connected_components as csgraph_components
 from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import cdist
 
-from augoverlap import geomsim
+from augoverlap import auggraph, geomsim
 from augoverlap.auggraph import (
     AugGraph,
     adjacency_spectrum,
@@ -218,6 +219,32 @@ class TestComponentsAndDiameter:
     def test_disconnected_subset_is_inf(self):
         adj = _graph_from_edges(4, {(0, 1), (2, 3)}).neighbors()
         assert math.isinf(subgraph_diameter(adj, [0, 1, 2, 3]))
+
+    @pytest.mark.parametrize("members", [[], [0, 0], [2, 0, 1, 2]])
+    def test_empty_or_repeated_members_are_named(self, members):
+        """An empty subset has no diameter, and a repeated member is a second,
+        unlinked copy of its vertex: [0, 0] would read as disconnected, though {0}
+        has diameter 0."""
+        with pytest.raises(ValueError) as exc:
+            subgraph_diameter(_path_adj(3), members)
+        assert str(exc.value) == f"members must be distinct and non-empty, got {members}"
+
+    def test_all_source_bfs_runs_only_on_connected_blocks(self):
+        """The one sweep per component decides connectivity, so a disconnected
+        block never reaches the all-source BFS and a connected one reaches it once."""
+        g = _graph_from_edges(6, {(0, 1), (1, 2), (3, 4), (4, 5)})  # two paths of 3
+        adj = g.neighbors()
+        with mock.patch.object(auggraph, "_bfs", wraps=auggraph._bfs) as bfs:
+            assert not class_graph_stats(adj).connected
+            assert math.isinf(graph_stats(g, LabelSet(np.zeros(6, dtype=int), k=1)).d_max)
+            assert math.isinf(subgraph_diameter(adj, list(range(6))))
+            assert bfs.call_count == 0
+            assert class_graph_stats(adj[:3, :3]).diameter == 2.0
+            assert bfs.call_count == 1
+            assert graph_stats(g, LabelSet(np.array([0, 0, 0, 1, 1, 1]), k=2)).d_max == 2.0
+            assert bfs.call_count == 3  # once per class block
+            assert subgraph_diameter(adj, [3, 4, 5]) == 2.0
+            assert bfs.call_count == 4
 
 
 class TestBipartite:

@@ -1,6 +1,6 @@
 """The benchmark's own tests pass against the library, so a library change that
 breaks what the benchmark uses (``AugGraph.edges``, ``PowerIterationError``,
-``subgraph_diameter``) fails this suite too.
+``connected_components``, ``subgraph_diameter``) fails this suite too.
 
 They run in a subprocess: collecting ``bench`` beside ``tests`` in one session
 fails, because both directories hold a ``conftest`` module and

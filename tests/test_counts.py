@@ -128,9 +128,17 @@ CLOSED_FORMS = {
             lambda: geomsim.sample_caps(geomsim.GeomConfig(d=3, n=10, area=7.0, class_centers=np.eye(3)[:2])),
             "cap area must not exceed a hemisphere (2*pi), got 7.0",
         ),
+        (lambda: geomsim.nn_distance_closed_form(500, 2, 1.0, 10), "k must be at most n - 1, got k=500 for n=10"),
         *[(functools.partial(form, area), f"area must be > 0 and finite, got {area}") for form in CLOSED_FORMS.values() for area in BAD_AREAS],
     ],
-    ids=["cosine-threshold", "omega", "cap-dimension", "cap-area", *[f"{name}-area-{a}" for name in CLOSED_FORMS for a in BAD_AREAS]],
+    ids=[
+        "cosine-threshold",
+        "omega",
+        "cap-dimension",
+        "cap-area",
+        "nn-k-above-n-minus-1",
+        *[f"{name}-area-{a}" for name in CLOSED_FORMS for a in BAD_AREAS],
+    ],
 )
 def test_range_error_names_its_value(call, text):
     with pytest.raises(ValueError) as exc:

@@ -37,6 +37,9 @@ class TestLossValue:
         LossValue(3.0, components=(1.0, 2.0))
         with pytest.raises(ValueError, match="decomposition"):
             LossValue(3.0, components=(1.0, 1.0))
+        for value, components in [(math.nan, (1.0, 2.0)), (3.0, (math.nan, 2.0)), (3.0, (1.0, math.nan))]:
+            with pytest.raises(ValueError, match="decomposition"):  # abs(nan - x) > 1e-9 is False
+                LossValue(value, components=components)
 
 
 def test_class_stats_variance_must_be_finite():
