@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabelSet, ViewSet, require_normalized, sq_distances, tile_rows
+from .data import LabelSet, ViewSet, require_count, require_normalized, sq_distances, tile_rows
 from .errors import DegenerateInputError
 
 INF = math.inf
@@ -87,8 +87,7 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
     against 75 ms at width 256 (one BLAS thread, Xeon) and moved 24 of 19,900 scores."""
     if metric not in ("euclidean", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
-    if views.n < 2:
-        raise ValueError("need at least 2 anchors")
+    require_count(2, n=views.n)
     if metric == "euclidean" and not 0.0 < threshold < INF:
         raise ValueError(f"euclidean threshold must be > 0 and finite, got {threshold}")
     if metric == "cosine":
@@ -163,8 +162,9 @@ def _bfs(block: np.ndarray) -> float:
 def subgraph_diameter(adj: np.ndarray, members: list) -> float:
     """All-pairs BFS diameter of a vertex subset of a boolean adjacency; inf if
     the subset is not connected. The members must be distinct and non-empty."""
-    if not 0 < len(set(members)) == len(members):
-        raise ValueError(f"members must be distinct and non-empty, got {members}")
+    require_count(1, members=len(members))
+    if len(set(members)) != len(members):
+        raise ValueError(f"members must be distinct, got {members}")
     block = adj[np.ix_(members, members)]
     return INF if _levels(block)[0].any() else _bfs(block)
 

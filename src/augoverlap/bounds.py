@@ -212,8 +212,7 @@ def baseline_bounds(inputs: BoundInputs, l_unsup: float) -> BaselineBounds:
     take the adjusted value directly. Balanced classes are assumed throughout.
     """
     m, k = inputs.m_negatives, inputs.k_classes
-    if k < 2:
-        raise ValueError("baselines require K >= 2")
+    require_count(2, K=k)
     if not math.isfinite(l_unsup):
         raise ValueError(f"l_unsup must be finite, got {l_unsup}")
     tau = collision_probability(m, k)
@@ -232,20 +231,12 @@ def baseline_bounds(inputs: BoundInputs, l_unsup: float) -> BaselineBounds:
 
 
 def full_report(inputs: BoundInputs, l_unsup: float | None = None) -> BoundReport:
-    """Evaluate every bound family on one set of inputs."""
-    ci_lo, ci_up = bounds_ci(inputs)
-    no_lo, no_up = bounds_no_ci(inputs)
-    ra_lo, ra_up = bounds_radius(inputs)
-    sp_lo, sp_up = bounds_spectral(inputs)
-    base = baseline_bounds(inputs, l_unsup) if l_unsup is not None else None
+    """Evaluate every bound family on one set of inputs: each (lower, upper) pair fills
+    the two ``BoundReport`` fields of its family, in field order."""
     return BoundReport(
-        ci_lower=ci_lo,
-        ci_upper=ci_up,
-        noci_lower=no_lo,
-        noci_upper=no_up,
-        radius_lower=ra_lo,
-        radius_upper=ra_up,
-        spectral_lower=sp_lo,
-        spectral_upper=sp_up,
-        baselines=base,
+        *bounds_ci(inputs),
+        *bounds_no_ci(inputs),
+        *bounds_radius(inputs),
+        *bounds_spectral(inputs),
+        baselines=baseline_bounds(inputs, l_unsup) if l_unsup is not None else None,
     )

@@ -116,15 +116,23 @@ def nn_distance_closed_form(k: int, d: int, area: float, n: int) -> float:
     if k > n - 1:
         raise ValueError(f"k must be at most n - 1, got k={k} for n={n}")
     _require_area(area)
-    prefactor = math.gamma(d / 2.0 + 1.0) ** (1.0 / d) / math.sqrt(math.pi)
+    prefactor = _ball_gamma(d) ** (1.0 / d) / math.sqrt(math.pi)
     ratio = math.exp(math.lgamma(k + 1.0 / d) - math.lgamma(float(k)))
     correction = 1.0 - (1.0 / d + 1.0 / d**2) / (2.0 * (n - 1))
     return prefactor * ratio * (area / (n - 1)) ** (1.0 / d) * correction
 
 
+def _ball_gamma(d: int) -> float:
+    try:  # Gamma(d/2 + 1), the unit d-ball's normaliser, overflows a float above d = 341
+        return math.gamma(d / 2.0 + 1.0)
+    except OverflowError:
+        raise ValueError(f"d must be at most 341 for a finite Gamma(d/2 + 1), got {d}") from None
+
+
 def unit_ball_volume(d: int) -> float:
     require_count(1, d=d)
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    gamma = _ball_gamma(d)  # before pi ** (d/2), which overflows above d = 1240
+    return math.pi ** (d / 2.0) / gamma
 
 
 def connectivity_radius_closed_form(d: int, area: float, n: int) -> float:
@@ -144,6 +152,7 @@ def min_center_halfdistance(centers: np.ndarray | None) -> float:
 
 
 def classify_regime(noise_r: float, r1: float, r2: float, r3: float) -> str:
+    require_nonnegative(noise_r=noise_r)
     if noise_r >= r3:
         return "over"
     if noise_r < r1:
@@ -192,9 +201,7 @@ def longest_mst_edge(points: np.ndarray) -> float:
     edge, by one Prim pass in O(n) memory. ``points`` must be a finite matrix of at
     least 2 rows; a float64 C-contiguous one is marked read-only."""
     points = checked_matrix(points, "point", normalized=False)
-    n = points.shape[0]
-    if n < 2:
-        raise ValueError(f"longest_mst_edge needs at least 2 points, got n={n}")
+    require_count(2, n=points.shape[0])
     return float(_nn_far_mst(points)[2].max())
 
 

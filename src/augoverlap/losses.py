@@ -131,8 +131,7 @@ def infonce_adjusted(pairs: PositivePairs, m_negatives: int, trials: int = 100, 
     once at M >= 2.
     """
     require_count(1, m_negatives=m_negatives, trials=trials)
-    if pairs.n < 2:
-        raise ValueError("need at least 2 pairs")
+    require_count(2, n=pairs.n)
     require_normalized(pairs.left, pairs.right)
 
     anchors = pairs.left.values

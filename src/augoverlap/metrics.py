@@ -95,10 +95,7 @@ def _confusions(views: ViewSet, cfgs: Sequence[MetricConfig]) -> list[tuple[np.n
     array of its k smallest foreign statistics per ``a2``; the siblings come from the
     diagonal tiles and are reduced in view order too."""
     n, c = views.n, views.c
-    if n < 2:
-        raise ValueError("need at least 2 anchors")
-    if c < 2:
-        raise ValueError("need at least 2 views per anchor")
+    require_count(2, n=n, c=c)
     k_max = {}
     for cfg in cfgs:
         if cfg.k > n - 1:
@@ -157,7 +154,10 @@ def confusion_ratios(views: ViewSet, cfgs: Sequence[MetricConfig]) -> tuple[floa
     return _acr(*first), [_gacr(*pair) for pair in rest]
 
 
-def _relative(final: float, init: float, message: str) -> float:
+def _relative(name: str, final: float, init: float, message: str) -> float:
+    for which, ratio in (("final", final), ("init", init)):
+        if not 0.0 <= ratio <= 1.0:
+            raise ValueError(f"{name}_{which} must lie in [0, 1], got {ratio}")
     if init >= 1.0:
         raise UndefinedMetricError(message)
     return (1.0 - final) / (1.0 - init)
@@ -165,7 +165,7 @@ def _relative(final: float, init: float, message: str) -> float:
 
 def arc(acr_final: float, acr_init: float) -> float:
     """Relative confusion (1 - ACR_final) / (1 - ACR_init)."""
-    return _relative(acr_final, acr_init, "initial confusion ratio is 1, relative confusion undefined")
+    return _relative("acr", acr_final, acr_init, "initial confusion ratio is 1, relative confusion undefined")
 
 
 def gacr(views: ViewSet, cfg: MetricConfig = MetricConfig()) -> float:
@@ -176,7 +176,7 @@ def gacr(views: ViewSet, cfg: MetricConfig = MetricConfig()) -> float:
 
 def relative_gacr(gacr_final: float, gacr_init: float) -> float:
     """Generalized relative confusion (1 - GACR_final) / (1 - GACR_init)."""
-    return _relative(gacr_final, gacr_init, "initial generalized confusion ratio is 1, relative value undefined")
+    return _relative("gacr", gacr_final, gacr_init, "initial generalized confusion ratio is 1, relative value undefined")
 
 
 def garc(final_views: ViewSet, init_views: ViewSet, cfg: MetricConfig = MetricConfig()) -> float:
@@ -188,8 +188,9 @@ def pearson(xs, ys) -> float:
     """Sample Pearson correlation coefficient of two finite sequences."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("need two equal-length 1-D sequences of length >= 2")
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("need two equal-length 1-D sequences")
+    require_count(2, length=x.size)
     for name, v in (("xs", x), ("ys", y)):
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:

@@ -67,8 +67,7 @@ class TrainConfig:
 
     def __post_init__(self):
         require_count(1, epochs=self.epochs, hidden_size=self.hidden_size, out_dim=self.out_dim)
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}")
+        require_count(2, batch_size=self.batch_size)  # in-batch negatives
         if self.m_negatives is not None:
             require_count(1, m_negatives=self.m_negatives)
         require_nonnegative(learning_rate=self.learning_rate, noise_r=self.noise_r)
@@ -209,13 +208,12 @@ def infonce_batch_loss(f1: np.ndarray, f2: np.ndarray, m_negatives: int | None =
     without subsetting) are work space. None allocates them.
     """
     b = f1.shape[0]
-    if b < 2:
-        raise ValueError("need batch size >= 2 for in-batch negatives")
-    subset = m_negatives is not None and m_negatives < b - 1
-    if subset:
-        if rng is None:
-            raise ValueError("m_negatives subsetting needs an rng")
+    require_count(2, batch=b)
+    if m_negatives is not None:
         require_count(1, m_negatives=m_negatives)
+    subset = m_negatives is not None and m_negatives < b - 1
+    if subset and rng is None:
+        raise ValueError("m_negatives subsetting needs an rng")
     scores, grad_f1, grad_f2, vectors, keys, mask = _loss_out(b, f1.shape[1], subset) if out is None else out
     scores, grad_f1, grad_f2 = _prefix(scores, b, b), grad_f1[:b], grad_f2[:b]
     row_sums, terms, positives = _prefix(vectors, 3, b)
@@ -251,8 +249,7 @@ def train_contrastive(data: EmbeddingSet, cfg: TrainConfig) -> TrainResult:
     noise each step. Returns the final parameters, the epoch-1 checkpoint and
     the per-epoch mean loss trace. A floating-point overflow, invalid operation or
     division by zero (so any non-finite loss) raises TrainingDivergenceError."""
-    if data.n < 2:
-        raise ValueError(f"need at least 2 training rows for in-batch negatives, got n={data.n}")
+    require_count(2, n=data.n)  # in-batch negatives
     rng = np.random.default_rng(cfg.seed)
     params = init_params(data.m, cfg.hidden_size, cfg.out_dim, seed=cfg.seed)
     weights = (params.w1, params.b1, params.w2, params.b2)  # updated in place
@@ -334,8 +331,9 @@ def counterexample_prop53(n: int, k: int, m: int, seed: int = 0):
 
     Returns (pairs, labels, accuracy).
     """
-    if not (n >= k >= 2 and m >= 1):
-        raise ValueError(f"need n >= k >= 2 and m >= 1, got n={n}, k={k}, m={m}")
+    require_count(2, k=k)
+    require_count(1, m=m)
+    require_count(k, n=n)
     rng = np.random.default_rng(seed)
     features = unit_rows(rng.standard_normal((n, m)))
     label_set = balanced_labels(n, k, rng)

@@ -235,7 +235,7 @@ class TestBaselineBounds:
         assert math.isfinite(base.arora) and math.isfinite(base.nozawa)
 
     def test_requires_two_classes(self):
-        with pytest.raises(ValueError, match="K >= 2"):
+        with pytest.raises(ValueError, match="^K must be >= 2, got 1$"):
             baseline_bounds(BoundInputs(m_negatives=4, k_classes=1), l_unsup=0.0)
 
     @pytest.mark.parametrize("l_unsup", [math.nan, math.inf, -math.inf])

@@ -241,7 +241,7 @@ class TestTrainCommand:
     def test_batch_size_one_is_runtime_error(self, tmp_path, capsys):
         argv = [*TINY_TRAIN, "--batch-size", "1", "--out", str(tmp_path)]
         assert main(["train", *argv]) == 1
-        assert "error: batch_size must be >= 2 for in-batch negatives, got 1" in capsys.readouterr().err
+        assert "error: batch_size must be >= 2, got 1" in capsys.readouterr().err
         assert not (tmp_path / "train.json").exists()
 
 

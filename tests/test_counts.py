@@ -1,7 +1,9 @@
 """Every count of the library's entry points is checked by ``data.require_count``:
-below its minimum the call raises ``ValueError("<name> must be >= <minimum>, got
-<value>")``, and no other module keeps its own integer lower bound. A value
-outside a real range is named in its error too."""
+a count that is not an integer (2.5, 3.0, nan, inf or a bool) raises
+``ValueError("<name> must be an integer, got <value!r>")``, one below its minimum
+raises ``ValueError("<name> must be >= <minimum>, got <value>")``, and no other
+module keeps a check of its own. A value outside a real range is named in its
+error too."""
 
 import ast
 import functools
@@ -13,11 +15,14 @@ import pytest
 
 import augoverlap
 from augoverlap import auggraph, bounds, cli, data, geomsim, losses, metrics, synth, trainer
-from augoverlap.data import EmbeddingSet, LabelSet, ViewSet
+from augoverlap.data import EmbeddingSet, LabelSet, PositivePairs, ViewSet
 
 
-def _cli(*argv):
+def _cli(count, value, *argv):
+    """Run a CLI command with the parsed ``count`` option set to ``value``: argparse
+    parses every count as an int, so this reaches the command's own check."""
     args = cli.build_parser().parse_args(list(argv))
+    setattr(args, count, value)
     return args.func(args)
 
 
@@ -32,6 +37,22 @@ def _mc(m_negatives, trials):
 
 def _flat(d=2, n=10):
     return geomsim.GeomConfig(d=d, n=n, area=1.0)
+
+
+def _views(n, c):
+    """Zero views of n anchors with c views each; a count that is not an integer gets
+    one row, since ViewSet refuses it before it reads the rows."""
+    rows = n * c if isinstance(n * c, (int, np.integer)) else 1
+    return ViewSet(np.zeros((rows, 2)), n=n, c=c)
+
+
+def _train(n):
+    return trainer.train_contrastive(EmbeddingSet(np.eye(n, 3)), trainer.TrainConfig(epochs=1, batch_size=2, hidden_size=2, out_dim=2))
+
+
+def _unit_pairs(n):
+    rows = EmbeddingSet(np.eye(n, 2), normalized=True)
+    return losses.infonce_adjusted(PositivePairs(rows, rows), 1, trials=1)
 
 
 # (entry point, count name, minimum, the call with that count set to v and every other input valid)
@@ -79,17 +100,35 @@ CASES = [
     ("class_centers", "m", 2, lambda v: synth.class_centers(1, v)),
     ("balanced_labels", "k", 1, lambda v: synth.balanced_labels(4, v, np.random.default_rng(0))),
     ("balanced_labels", "n", 1, lambda v: synth.balanced_labels(v, 2, np.random.default_rng(0))),
-    ("cli simulate", "trials", 1, lambda v: _cli("simulate", "--n", "10", "--noise-r", "0.5", "--trials", str(v))),
-    (
-        "cli repro lemma42",
-        "seeds",
-        1,
-        lambda v: _cli("repro", "lemma42", "--n", "40", "--dim", "4", "--m-grid", "1", "--seeds", str(v)),
-    ),
+    ("cli simulate", "trials", 1, lambda v: _cli("trials", v, "simulate", "--n", "10", "--noise-r", "0.5")),
+    ("cli repro lemma42", "seeds", 1, lambda v: _cli("seeds", v, "repro", "lemma42", "--n", "40", "--dim", "4", "--m-grid", "1")),
+    ("build_graph", "n", 2, lambda v: auggraph.build_graph(_views(v, 1), 1.0)),
+    ("acr", "n", 2, lambda v: metrics.acr(_views(v, 2))),
+    ("acr", "c", 2, lambda v: metrics.acr(_views(2, v))),
+    ("TrainConfig", "batch_size", 2, lambda v: trainer.TrainConfig(batch_size=v)),
+    ("baseline_bounds", "K", 2, lambda v: bounds.baseline_bounds(bounds.BoundInputs(k_classes=v), 1.0)),
+    ("counterexample_prop53", "k", 2, lambda v: trainer.counterexample_prop53(4, v, 2)),
+    ("counterexample_prop53", "m", 1, lambda v: trainer.counterexample_prop53(4, 2, v)),
+    ("counterexample_prop53", "n", 2, lambda v: trainer.counterexample_prop53(v, 2, 2)),
+]
+
+# counts that are the rows of an input array or the length of a sequence: they are
+# integers by construction, so only their minimum can be crossed
+ROW_COUNTS = [
+    ("longest_mst_edge", "n", 2, lambda v: geomsim.longest_mst_edge(np.eye(v, 2))),
+    ("infonce_adjusted", "n", 2, _unit_pairs),
+    ("infonce_batch_loss", "batch", 2, lambda v: trainer.infonce_batch_loss(np.eye(v, 4), np.eye(v, 4))),
+    ("train_contrastive", "n", 2, _train),
+    ("subgraph_diameter", "members", 1, lambda v: auggraph.subgraph_diameter(np.zeros((3, 3), dtype=bool), list(range(v)))),
+    ("pearson", "length", 2, lambda v: metrics.pearson(np.arange(v), np.arange(v))),
 ]
 
 
-@pytest.mark.parametrize("call, name, minimum", [(c[3], c[1], c[2]) for c in CASES], ids=[f"{c[0]}-{c[1]}" for c in CASES])
+def _params(cases):
+    return pytest.mark.parametrize("call, name, minimum", [(c[3], c[1], c[2]) for c in cases], ids=[f"{c[0]}-{c[1]}" for c in cases])
+
+
+@_params(CASES + ROW_COUNTS)
 def test_count_below_its_minimum_names_the_field_and_value(call, name, minimum, tmp_path, monkeypatch):
     """At minimum - 1 the call raises the count error naming the field and value; at
     the minimum it passes that check, so it returns or fails on something else
@@ -104,12 +143,30 @@ def test_count_below_its_minimum_names_the_field_and_value(call, name, minimum, 
         assert not str(err).startswith(f"{name} must be >="), err
 
 
+@_params(CASES)
+def test_count_that_is_not_an_integer_names_the_field_and_value(call, name, minimum, tmp_path, monkeypatch):
+    """2.5, 3.0, nan, inf and True each raise the integer error naming the field and value."""
+    monkeypatch.chdir(tmp_path)
+    for value in (2.5, 3.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+
 # areas outside (0, inf), for both closed forms: GeomConfig's check is their only one
 BAD_AREAS = [-1.0, 0.0, math.nan, math.inf]
 CLOSED_FORMS = {
     "nn": lambda area: geomsim.nn_distance_closed_form(1, 2, area, 100),
     "connectivity": lambda area: geomsim.connectivity_radius_closed_form(2, area, 100),
 }
+
+# dimensions where Gamma(d/2 + 1) overflows a float (d = 2000 overflows pi ** (d/2) too)
+GAMMA_OVERFLOWS = [
+    (400, lambda: geomsim.unit_ball_volume(400)),
+    (400, lambda: geomsim.nn_distance_closed_form(1, 400, 1.0, 10)),
+    (400, lambda: geomsim.connectivity_radius_closed_form(400, 1.0, 100)),
+    (2000, lambda: geomsim.connectivity_radius_closed_form(2000, 1.0, 100)),
+]
 
 
 @pytest.mark.parametrize(
@@ -130,6 +187,11 @@ CLOSED_FORMS = {
         ),
         (lambda: geomsim.nn_distance_closed_form(500, 2, 1.0, 10), "k must be at most n - 1, got k=500 for n=10"),
         *[(functools.partial(form, area), f"area must be > 0 and finite, got {area}") for form in CLOSED_FORMS.values() for area in BAD_AREAS],
+        *[(call, f"d must be at most 341 for a finite Gamma(d/2 + 1), got {d}") for d, call in GAMMA_OVERFLOWS],
+        (lambda: geomsim.classify_regime(math.nan, 0.1, 0.2, 0.3), "noise_r must be >= 0 and finite, got nan"),
+        (lambda: geomsim.classify_regime(-1.0, 0.1, 0.2, 0.3), "noise_r must be >= 0 and finite, got -1.0"),
+        (lambda: metrics.arc(math.nan, 0.5), "acr_final must lie in [0, 1], got nan"),
+        (lambda: metrics.relative_gacr(0.5, math.nan), "gacr_init must lie in [0, 1], got nan"),
     ],
     ids=[
         "cosine-threshold",
@@ -138,6 +200,14 @@ CLOSED_FORMS = {
         "cap-area",
         "nn-k-above-n-minus-1",
         *[f"{name}-area-{a}" for name in CLOSED_FORMS for a in BAD_AREAS],
+        "unit-ball-d-400",
+        "nn-d-400",
+        "connectivity-d-400",
+        "connectivity-d-2000",
+        "regime-noise-nan",
+        "regime-noise-negative",
+        "arc-final-nan",
+        "relative-gacr-init-nan",
     ],
 )
 def test_range_error_names_its_value(call, text):
@@ -152,38 +222,47 @@ def test_require_count_reports_the_first_count_below_the_minimum():
         data.require_count(2, a=3, b=1, c=0)
 
 
-# the integer lower bounds that stay outside data: each names its reason in its text
-KEPT = {
-    ("auggraph", "need at least 2 anchors"),
-    ("bounds", "baselines require K >= 2"),
-    ("geomsim", "longest_mst_edge needs at least 2 points, got n={n}"),
-    ("losses", "need at least 2 pairs"),
-    ("metrics", "need at least 2 anchors"),
-    ("metrics", "need at least 2 views per anchor"),
-    ("trainer", "batch_size must be >= 2 for in-batch negatives, got {self.batch_size}"),
-    ("trainer", "need batch size >= 2 for in-batch negatives"),
-    ("trainer", "need at least 2 training rows for in-batch negatives, got n={data.n}"),
-}
+def test_require_count_takes_numpy_integers_and_refuses_numpy_bools():
+    data.require_count(2, a=np.int64(2), b=np.int32(3), c=np.uint8(2))
+    with pytest.raises(ValueError, match=r"^a must be an integer, got np.True_$"):
+        data.require_count(1, a=np.True_)
+
+
+ORDERS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _int_constant(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _orders_an_int(cmp: ast.Compare) -> bool:
+    operands = [cmp.left, *cmp.comparators]
+    return any(isinstance(op, ORDERS) and (_int_constant(a) or _int_constant(b)) for op, a, b in zip(cmp.ops, operands, operands[1:]))
+
+
+def _raises_value_error(body) -> bool:
+    for stmt in body:
+        exc = stmt.exc if isinstance(stmt, ast.Raise) else None
+        if exc is not None and ast.unparse(exc.func if isinstance(exc, ast.Call) else exc) == "ValueError":
+            return True
+    return False
 
 
 def test_no_module_but_data_keeps_a_bare_count_check():
-    """An ``if <count> < <int>: raise ValueError(...)`` outside data is one of KEPT,
-    and KEPT names only such checks."""
-    found = set()
+    """No ``if`` outside data whose body raises a ValueError orders anything against an
+    int constant anywhere in its test: under ``not``, ``and`` or ``or`` and in chained
+    comparisons too. Every such check is a ``data.require_count`` call."""
+    found = []
     for path in sorted(Path(augoverlap.__file__).parent.glob("*.py")):
         if path.stem == "data":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            test = getattr(node, "test", None) if isinstance(node, ast.If) else None
             if (
-                isinstance(test, ast.Compare)
-                and isinstance(test.ops[0], ast.Lt)
-                and isinstance(test.comparators[0], ast.Constant)
-                and isinstance(test.comparators[0].value, int)
-                and isinstance(node.body[0], ast.Raise)
-                and ast.unparse(node.body[0].exc.func) == "ValueError"
+                isinstance(node, ast.If)
+                and _raises_value_error(node.body)
+                and any(_orders_an_int(cmp) for cmp in ast.walk(node.test) if isinstance(cmp, ast.Compare))
             ):
-                message = node.body[0].exc.args[0]
-                text = message.value if isinstance(message, ast.Constant) else ast.unparse(message)[2:-1]
-                found.add((path.stem, text))
-    assert found == KEPT
+                found.append(f"{path.name}:{node.lineno}: if {ast.unparse(node.test)}")
+    assert not found, "\n".join(found)

@@ -69,7 +69,7 @@ def _enumeration_case(n, m_negatives, dim, decimals, seed):
 class TestInfonceAdjusted:
     def test_needs_two_pairs(self):
         one = EmbeddingSet(np.array([[1.0, 0.0]]), normalized=True)
-        with pytest.raises(ValueError, match="need at least 2 pairs"):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
             losses.infonce_adjusted(PositivePairs(one, one), m_negatives=1)
 
     def test_names_the_unnormalized_set(self):

@@ -142,9 +142,9 @@ class TestAcr:
         assert acr(v) == _acr_full_matrix(v)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="2 anchors"):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
             acr(_views([[0.0], [1.0]], n=1, c=2))
-        with pytest.raises(ValueError, match="2 views"):
+        with pytest.raises(ValueError, match="^c must be >= 2, got 1$"):
             acr(_views([[0.0], [1.0]], n=2, c=1))
 
 

@@ -140,7 +140,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("batch_size", [1, 0, -4])
     def test_batch_size_below_two(self, batch_size):
-        with pytest.raises(ValueError, match=f"batch_size must be >= 2 for in-batch negatives, got {batch_size}"):
+        with pytest.raises(ValueError, match=f"^batch_size must be >= 2, got {batch_size}$"):
             TrainConfig(batch_size=batch_size)
 
 
@@ -176,7 +176,7 @@ class TestInfonceBatchLoss:
         assert loss == pytest.approx(expected)
 
     def test_batch_too_small(self):
-        with pytest.raises(ValueError, match="batch size"):
+        with pytest.raises(ValueError, match="^batch must be >= 2, got 1$"):
             infonce_batch_loss(np.ones((1, 2)), np.ones((1, 2)))
 
     def test_m_negatives_needs_rng(self):
@@ -454,7 +454,7 @@ class TestTrainContrastive:
         """One row has no in-batch negative: training refuses it instead of
         returning the untrained encoder with a nan loss trace."""
         emb = EmbeddingSet(np.array([[1.0, 0.0, 0.0]]))
-        with pytest.raises(ValueError, match="need at least 2 training rows for in-batch negatives, got n=1"):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
             train_contrastive(emb, TrainConfig(epochs=2, batch_size=2, hidden_size=4, out_dim=2))
 
     def test_two_rows_train(self):
