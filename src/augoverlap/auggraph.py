@@ -5,9 +5,9 @@ An edge (i, j) exists when the closest pair of views of anchors i and j is
 within the threshold (euclidean metric) or at least as similar as the
 threshold (cosine metric). The threshold is recorded on the graph so runs
 stay comparable. ``build_graph`` passes the views as stored (anchor-major) to
-``data.sq_distances``, a block of anchors against all later anchors at a time,
-and writes each block whole into one n x n matrix; one mask sets inf on and
-below its diagonal, and the matrix is scored in place. Views of width <= 3 are
+``data.sq_distances``, a block of anchors against all later anchors at a time;
+each block is masked on and below its diagonal, scored in place and keeps its
+pairs within the threshold, so no n x n array is held. Views of width <= 3 are
 summed one coordinate at a time, so their distances have the same bits in any
 call shape, and one-view anchors are connected at threshold
 ``geomsim.longest_mst_edge(points)``. Wider views take the BLAS expansion,
@@ -38,18 +38,25 @@ INF = math.inf
 @dataclass(frozen=True)
 class AugGraph:
     n: int
-    edges: frozenset  # frozenset of (i, j) tuples with i < j
+    edges: tuple  # (i, j) pairs with i < j, ascending; a graph built by hand may pass any collection
     threshold: float
     metric: str
-    scores: np.ndarray | None = field(default=None, compare=False, repr=False)  # n x n, see build_graph
+    scores: np.ndarray | None = field(default=None, compare=False, repr=False)  # (E,), one per edge
 
     def neighbors(self) -> np.ndarray:
-        """Dense boolean adjacency, n x n, symmetric with an empty diagonal."""
+        """Dense boolean adjacency, n x n, symmetric with an empty diagonal. A pair
+        outside 0 <= i < j < n, or a repeated one, raises a ValueError naming it."""
         adj = np.zeros((self.n, self.n), dtype=bool)
         if self.edges:
-            flat = np.fromiter(itertools.chain.from_iterable(self.edges), np.intp, count=2 * len(self.edges))
-            i, j = flat.reshape(-1, 2).T
+            pairs = np.fromiter(itertools.chain.from_iterable(self.edges), np.intp, count=2 * len(self.edges)).reshape(-1, 2)
+            i, j = pairs.T
+            bad = (i < 0) | (i >= j) | (j >= self.n)
+            if bad.any():
+                raise ValueError(f"edge {tuple(pairs[bad][0].tolist())} must have 0 <= i < j < n={self.n}")
             adj[i, j] = adj[j, i] = True
+            if np.count_nonzero(adj) < 2 * len(pairs):
+                unique, counts = np.unique(pairs, axis=0, return_counts=True)
+                raise ValueError(f"edge {tuple(unique[counts > 1][0].tolist())} is repeated")
         return adj
 
 
@@ -77,10 +84,10 @@ class GraphStats:
 
 
 def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> AugGraph:
-    """Threshold the minimum inter-anchor view distance (or maximum similarity),
-    kept for i < j in ``scores[i, j]``; one mask makes it inf / -inf on and below
-    the diagonal. Bit-exact on views of width <= 3; on wider views within 2**-43
-    of the largest squared row norm (see the module docstring).
+    """Threshold the minimum inter-anchor view distance (or maximum similarity):
+    ``edges`` lists the pairs i < j within it in ascending order, ``scores`` their
+    scores. Bit-exact on views of width <= 3; on wider views within 2**-43 of the
+    largest squared row norm (see the module docstring).
 
     Blocks of ``data.tile_rows(c * c * rest)`` anchors walk the triangle: fixed-height
     ``data.row_tiles(n - 1, c * c * n)`` blocks (199 against 85 at n=200, c=10) took 111
@@ -96,21 +103,23 @@ def build_graph(views: ViewSet, threshold: float, metric: str = "euclidean") -> 
         require_normalized(views)
 
     n, c = views.n, views.c
-    scores = np.empty((n, n))  # min squared view distance above the diagonal, then the score
+    found = []  # per block, the (i, j, score) arrays of its pairs within the threshold
     lo = 0
     while lo < n - 1:  # a block of anchors lo..hi-1 against anchors lo+1.., about one tile of distances
         rest = n - lo - 1
         hi = min(lo + tile_rows(c * c * rest), n - 1)
-        d = sq_distances(views.values[lo * c : hi * c], views.values[(lo + 1) * c :])
-        scores[lo:hi, lo + 1 :] = d.reshape(hi - lo, c, rest, c).min(axis=1).min(axis=2)  # over both view axes
+        s = sq_distances(views.values[lo * c : hi * c], views.values[(lo + 1) * c :])  # the block's squared view distances
+        s = s.reshape(hi - lo, c, rest, c).min(axis=1).min(axis=2)  # over both view axes; rebinding frees the block before the next allocations (held, it faulted ~2,000 pages per n=200 graph)
+        s[np.tri(hi - lo, rest, -1, dtype=bool)] = INF  # anchor pairs on and below the diagonal
+        if metric == "euclidean":
+            hits = np.sqrt(s, out=s) <= threshold
+        else:  # u.v = 1 - |u - v|^2 / 2 on unit rows, in place: x / -2 + 1 has the bits of 1 - x / 2
+            hits = np.add(np.divide(s, -2.0, out=s), 1.0, out=s) >= threshold
+        i, j = np.nonzero(hits)  # row-major, and the blocks ascend in i: the edges come out sorted
+        found.append((i + lo, j + lo + 1, s[hits]))
         lo = hi
-    scores[np.tri(n, dtype=bool)] = INF  # on and below the diagonal, including what the blocks wrote there
-    if metric == "euclidean":
-        hits = np.sqrt(scores, out=scores) <= threshold
-    else:  # u.v = 1 - |u - v|^2 / 2 on unit rows, in place: x / -2 + 1 has the bits of 1 - x / 2
-        hits = np.add(np.divide(scores, -2.0, out=scores), 1.0, out=scores) >= threshold
-    edges = frozenset(zip(*(idx.tolist() for idx in np.nonzero(hits))))
-    return AugGraph(n=n, edges=edges, threshold=threshold, metric=metric, scores=scores)
+    i, j, scores = (np.concatenate(part) for part in zip(*found))
+    return AugGraph(n=n, edges=tuple(zip(i.tolist(), j.tolist())), threshold=threshold, metric=metric, scores=scores)
 
 
 def _levels(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

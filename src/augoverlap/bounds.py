@@ -51,6 +51,7 @@ class BoundInputs:
             raise ValueError(f"diameter must be >= 0 (inf allowed), got {self.diameter}")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
+        require_nonnegative(lambda1=self.lambda1, lambda2_abs=self.lambda2_abs)
         if not self.lambda2_abs <= self.lambda1:
             raise ValueError(f"lambda1 must dominate lambda2_abs, got {self.lambda1} and {self.lambda2_abs}")
         require_count(1, M=self.m_negatives, K=self.k_classes)

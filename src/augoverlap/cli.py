@@ -108,7 +108,7 @@ def cmd_graph(args) -> int:
     stats = auggraph.graph_stats(g, labels)
     out = _out_dir(args)
     score = "max_view_similarity" if g.metric == "cosine" else "min_view_distance"
-    _write_csv(out / "edges.csv", ["i", "j", score], [[i, j, float(g.scores[i, j])] for i, j in sorted(g.edges)])
+    _write_csv(out / "edges.csv", ["i", "j", score], [[i, j, value] for (i, j), value in zip(g.edges, g.scores.tolist())])
     report = dataclasses.asdict(stats)
     report.update(
         n=g.n,

@@ -91,12 +91,15 @@ def require_nonnegative(**values: float) -> None:
 
 def require_count(minimum: int, **counts: int) -> None:
     """Raise a ValueError naming the first of ``counts`` that is not an ``int`` or numpy
-    integer, or is below ``minimum``. A bool is refused: a count is not a flag."""
+    integer, is below ``minimum``, or is above 2**53, beyond which a float no longer
+    holds every integer. A bool is refused: a count is not a flag."""
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        if value > 2**53:
+            raise ValueError(f"{name} must be <= 2**53, got {value}")
 
 
 @dataclass(frozen=True)

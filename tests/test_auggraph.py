@@ -37,11 +37,17 @@ def _path_adj(n):
     return _graph_from_edges(n, {(i, i + 1) for i in range(n - 1)}).neighbors()
 
 
+def _at(scores, edges):
+    """The entries of an n x n score matrix at an edge list, in its order."""
+    return np.array([scores[i, j] for i, j in edges], dtype=float)
+
+
 def _blockwise_reference(views, threshold, metric):
     """(scores, edges) by a two-matrix reference: a full matrix of inf, each anchor's
     row of its block's upper triangle copied in a Python loop, then a second matrix
-    for the scores. Each block is measured against a view-major copy of the later
-    anchors, so on rows wider than 3 its call shapes differ from ``build_graph``'s."""
+    for the scores, and the edges in ascending order. Each block is measured against a
+    view-major copy of the later anchors, so on rows wider than 3 its call shapes
+    differ from ``build_graph``'s."""
     n, c = views.n, views.c
     closest = np.full((n, n), np.inf)
     lo = 0
@@ -59,50 +65,63 @@ def _blockwise_reference(views, threshold, metric):
     else:
         scores = 1.0 - closest / 2.0
         hits = scores >= threshold
-    return scores, frozenset(zip(*(idx.tolist() for idx in np.nonzero(hits))))
+    return scores, tuple(zip(*(idx.tolist() for idx in np.nonzero(hits))))
 
 
 class TestBuildGraph:
     def test_euclidean_threshold(self):
         views = ViewSet(np.array([[0.0, 0.0], [1.0, 0.0]]), n=2, c=1)
-        assert build_graph(views, 0.5).edges == frozenset()
+        g = build_graph(views, 0.5)
+        assert g.edges == () and g.scores.shape == (0,)
         g = build_graph(views, 1.0)
-        assert g.edges == frozenset({(0, 1)})
-        assert g.scores[0, 1] == pytest.approx(1.0)
+        assert g.edges == ((0, 1),)
+        assert g.scores.tolist() == [pytest.approx(1.0)]
 
     def test_min_over_view_pairs(self):
         # anchors far apart but one view pair is close
         views = ViewSet(np.array([[0.0, 0.0], [10.0, 0.0], [10.2, 0.0], [20.0, 0.0]]), n=2, c=2)
         g = build_graph(views, 0.5)
-        assert g.edges == frozenset({(0, 1)})
-        assert g.scores[0, 1] == pytest.approx(0.2)
+        assert g.edges == ((0, 1),)
+        assert g.scores.tolist() == [pytest.approx(0.2)]
 
     def test_cosine_metric(self):
         views = ViewSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), n=3, c=1, normalized=True)
         g = build_graph(views, 0.9, metric="cosine")
-        assert g.edges == frozenset({(0, 2)})
+        assert g.edges == ((0, 2),)
+        assert g.scores.tolist() == [1.0]
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 12), c=st.integers(1, 3), m=st.integers(1, 6), seed=st.integers(0, 2**31))
     def test_scores_match_scipy(self, n, c, m, seed):
-        """Every pair's score, edge or not: the min view distance against cdist
-        and, on unit rows, the max view dot product; inf / -inf elsewhere."""
+        """Every pair's score: at a threshold that makes every pair an edge, the min
+        view distance against cdist and, on unit rows, the max view dot product (a
+        pair whose views are antipodal is the only one a cosine threshold above -1
+        leaves out). At thresholds 1.0 and 0.5, the edges are exactly the pairs that
+        cdist puts within them, in ascending order."""
         views = normalize(ViewSet(np.random.default_rng(seed).standard_normal((n * c, m)), n=n, c=c))
-        upper, lower = np.triu_indices(n, 1), np.tril_indices(n)
+        upper = np.triu_indices(n, 1)
+        pairs = tuple(zip(*(idx.tolist() for idx in upper)))
         dist = cdist(views.values, views.values).reshape(n, c, n, c).min(axis=(1, 3))
         dots = (views.values @ views.values.T).reshape(n, c, n, c).max(axis=(1, 3))
-        g, gc = build_graph(views, 1.0), build_graph(views, 0.5, metric="cosine")
-        np.testing.assert_allclose(g.scores[upper] ** 2, dist[upper] ** 2, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(gc.scores[upper], dots[upper], rtol=0, atol=1e-12)
-        assert (g.scores[lower] == np.inf).all() and (gc.scores[lower] == -np.inf).all()
-        assert g.edges == {(i, j) for i, j in zip(*upper) if g.scores[i, j] <= 1.0}
-        assert gc.edges == {(i, j) for i, j in zip(*upper) if gc.scores[i, j] >= 0.5}
+        g = build_graph(views, 3.0)  # unit rows lie within 2 of each other
+        assert g.edges == pairs
+        np.testing.assert_allclose(g.scores**2, dist[upper] ** 2, rtol=0, atol=1e-12)
+        gc = build_graph(views, float(np.nextafter(-1.0, 0.0)), metric="cosine")
+        on = np.zeros((n, n), dtype=bool)
+        on[tuple(np.array(gc.edges, dtype=np.intp).reshape(-1, 2).T)] = True
+        hit = on[upper]
+        assert gc.edges == tuple(p for p, h in zip(pairs, hit) if h)  # ascending, each pair once
+        np.testing.assert_allclose(gc.scores, dots[upper][hit], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dots[upper][~hit], -1.0, rtol=0, atol=1e-12)
+        assert build_graph(views, 1.0).edges == tuple(p for p, d in zip(pairs, dist[upper]) if d <= 1.0)
+        assert build_graph(views, 0.5, metric="cosine").edges == tuple(p for p, s in zip(pairs, dots[upper]) if s >= 0.5)
 
     @pytest.mark.parametrize("m, decimals", [(2, None), (3, 1)])
     def test_anchor_blocks_match_per_anchor_loop(self, m, decimals):
         """Blocks of one anchor (at the start) and of several (towards the end)
-        give the bits of one kernel call per anchor row, with rounded ties and
-        duplicate anchors, for both metrics."""
+        give the edges and the score bits of one kernel call per anchor row, with
+        rounded ties and duplicate anchors, for both metrics, at a tight threshold
+        and at one that makes every pair an edge."""
         n, c = 600, 8
         assert c * c * (n - 1) > TILE_VALUES > c * c * 100  # blocks of 1 anchor, then of more
         v = np.random.default_rng(m).standard_normal((n * c, m))
@@ -115,12 +134,20 @@ class TestBuildGraph:
             others = views.values.reshape(n, c, m)[i + 1 :].transpose(1, 0, 2).reshape(-1, m)
             closest[i, i + 1 :] = sq_distances(views.views_of(i), others).reshape(c * c, n - i - 1).min(axis=0)
         upper = np.triu_indices(n, 1)
-        for metric, threshold, scores in (("euclidean", 0.05, np.sqrt(closest)), ("cosine", 0.999, 1.0 - closest / 2.0)):
+        pairs = tuple(zip(*(idx.tolist() for idx in upper)))
+        euclidean, cosine = np.sqrt(closest)[upper], (1.0 - closest / 2.0)[upper]
+        for metric, threshold, scores in (
+            ("euclidean", 0.05, euclidean),
+            ("euclidean", 3.0, euclidean),
+            ("cosine", 0.999, cosine),
+            ("cosine", float(np.nextafter(-1.0, 0.0)), cosine),
+        ):
             g = build_graph(views, threshold, metric)
-            assert g.scores.tobytes() == scores.tobytes()
-            hits = scores[upper] <= threshold if metric == "euclidean" else scores[upper] >= threshold
-            assert g.edges == {(i, j) for i, j, hit in zip(*upper, hits) if hit}
+            hits = scores <= threshold if metric == "euclidean" else scores >= threshold
+            assert g.edges == tuple(p for p, hit in zip(pairs, hits) if hit)
+            assert g.scores.tobytes() == scores[hits].tobytes()
             assert g.edges  # the duplicates at least
+            assert threshold in (0.05, 0.999) or len(g.edges) == len(pairs)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -132,12 +159,13 @@ class TestBuildGraph:
         pick=st.floats(0.0, 1.0),
     )
     def test_one_matrix_matches_blockwise_reference(self, n, c, m, decimals, seed, pick):
-        """The scores and the edges of the two-matrix reference, for both metrics, with
-        rounded values (ties and duplicate views) and a threshold equal to one of the
-        scores, so the comparison at the threshold decides ties. Widths <= 3 keep every
-        bit. On wider rows each squared distance lies within 2**-43 of the largest
-        squared row norm of the reference's, and an edge differs only where the
-        reference's squared distance lies that close to the threshold's."""
+        """The edges of the two-matrix reference and its scores at them, for both
+        metrics, with rounded values (ties and duplicate views) and a threshold equal
+        to one of the scores, so the comparison at the threshold decides ties. Widths
+        <= 3 keep every bit. On wider rows each edge's squared distance lies within
+        2**-43 of the largest squared row norm of the reference's, and an edge differs
+        only where the reference's squared distance lies that close to the
+        threshold's."""
         v = np.random.default_rng(seed).standard_normal((n * c, m))
         if decimals is not None:
             v = np.round(v, decimals) + 0.25  # never zero, so normalize takes every row
@@ -152,34 +180,36 @@ class TestBuildGraph:
             ref, ref_edges = _blockwise_reference(views, threshold, metric)
             g = build_graph(views, threshold, metric)
             if m <= 3:
-                assert g.scores.tobytes() == ref.tobytes()
                 assert g.edges == ref_edges
+                assert g.scores.tobytes() == _at(ref, ref_edges).tobytes()
                 continue
-            lower, upper = np.tril_indices(n), np.triu_indices(n, 1)
-            assert g.scores[lower].tobytes() == ref[lower].tobytes()
             # squared distances: d = s^2 (euclidean), d = 2 - 2s (cosine)
             sq = (lambda s: s * s) if metric == "euclidean" else (lambda s: 2.0 - 2.0 * s)
             tol = 2.0**-43 * sq_norms(views.values).max()
-            assert np.abs(sq(g.scores[upper]) - sq(ref[upper])).max() <= tol
+            assert np.abs(sq(g.scores) - sq(_at(ref, g.edges))).max(initial=0.0) <= tol
+            assert list(g.edges) == sorted(set(g.edges))
             near = np.abs(sq(ref) - sq(threshold)) <= tol
-            assert all(near[i, j] for i, j in g.edges ^ ref_edges)
+            assert all(near[i, j] for i, j in set(g.edges) ^ set(ref_edges))
 
     @pytest.mark.parametrize("metric, threshold", [("euclidean", 1e-3), ("cosine", 1.0)])
-    def test_peak_memory_is_one_score_matrix(self, metric, threshold):
-        """Beyond the views, build_graph at n=1000, c=10 with almost no edges holds
-        one n x n float matrix plus small temporaries (the triangle mask, the hits
-        and one block of distances), under 1.3 n^2 floats; separate distance and score
-        matrices exceed it (2.13 n^2 floats euclidean, 3.00 cosine)."""
-        n, c = 1000, 10
-        views = normalize(ViewSet(np.random.default_rng(0).standard_normal((n * c, 3)), n=n, c=c))
-        tracemalloc.start()
-        try:
-            g = build_graph(views, threshold, metric)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(g.edges) < n
-        assert peak < 1.3 * 8 * n * n, peak / (8 * n * n)
+    def test_peak_memory_is_one_block(self, metric, threshold):
+        """Beyond the views, build_graph with c=10 and almost no edges holds one block
+        of distances and its edges, no n x n array: at most 0.3 n^2 floats at n=1000
+        (0.13 measured; one n x n score matrix gave 1.23), and the peak grows from
+        n=500 to n=1000 with a fitted exponent of at most 1.3 (0.37 and 0.41
+        measured; 1.69 with the matrix)."""
+        c, peaks = 10, {}
+        for n in (500, 1000):
+            views = normalize(ViewSet(np.random.default_rng(0).standard_normal((n * c, 3)), n=n, c=c))
+            tracemalloc.start()
+            try:
+                g = build_graph(views, threshold, metric)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(g.edges) < n
+        assert peaks[1000] <= 0.3 * 8 * 1000**2, peaks[1000] / (8 * 1000**2)
+        assert math.log2(peaks[1000] / peaks[500]) <= 1.3, peaks
 
     def test_cosine_requires_normalized(self):
         views = ViewSet(np.array([[2.0, 0.0], [0.0, 2.0]]), n=2, c=1)
@@ -203,6 +233,29 @@ class TestBuildGraph:
             build_graph(views, 0.0)
         with pytest.raises(ValueError, match="cosine threshold"):
             build_graph(ViewSet(np.eye(2), n=2, c=1, normalized=True), -1.5, metric="cosine")
+
+
+class TestNeighbors:
+    @pytest.mark.parametrize(
+        "edges, text",
+        [
+            ({(-1, 0)}, "edge (-1, 0) must have 0 <= i < j < n=3"),
+            ({(0, 1), (1, 0)}, "edge (1, 0) must have 0 <= i < j < n=3"),
+            ({(0, 3)}, "edge (0, 3) must have 0 <= i < j < n=3"),
+            (((1, 1),), "edge (1, 1) must have 0 <= i < j < n=3"),
+            (((0, 1), (0, 2), (0, 1)), "edge (0, 1) is repeated"),
+        ],
+        ids=["negative", "reversed", "beyond-n", "loop", "repeated"],
+    )
+    def test_bad_pair_is_named(self, edges, text):
+        """A pair outside 0 <= i < j < n, or a repeated one, is refused where the
+        edges are read: a negative index would wrap, a reversed pair would count one
+        edge twice, and an index of n would raise a bare IndexError."""
+        g = AugGraph(n=3, edges=edges, threshold=1.0, metric="euclidean")
+        for read in (g.neighbors, lambda: graph_stats(g, LabelSet(np.array([0, 0, 1]), k=2))):
+            with pytest.raises(ValueError) as exc:
+                read()
+            assert str(exc.value) == text
 
 
 class TestComponentsAndDiameter:

@@ -48,7 +48,9 @@ class TestBoundInputs:
             ("alpha", math.nan, "alpha must lie in [0, 1], got nan"),
             ("diameter", math.nan, "diameter must be >= 0 (inf allowed), got nan"),
             ("omega", math.nan, "omega must lie in [0, 1], got nan"),
-            ("lambda1", math.nan, "lambda1 must dominate lambda2_abs, got nan and 0.0"),
+            ("lambda1", math.nan, "lambda1 must be >= 0 and finite, got nan"),
+            ("lambda1", -1.0, "lambda1 must be >= 0 and finite, got -1.0"),
+            ("lambda2_abs", math.nan, "lambda2_abs must be >= 0 and finite, got nan"),
         ],
     )
     def test_nan_and_inf_name_the_field(self, field, value, message):
@@ -57,6 +59,12 @@ class TestBoundInputs:
         with pytest.raises(ValueError) as exc:
             BoundInputs(**{field: value})
         assert str(exc.value) == message
+
+    def test_spectrum_is_checked_as_spectral_diameter_checks_it(self):
+        """A negative spectrum that obeys the dominance order is refused when the
+        inputs are built, not later by ``spectral_diameter``."""
+        with pytest.raises(ValueError, match=r"^lambda1 must be >= 0 and finite, got -1.0$"):
+            BoundInputs(lambda1=-1.0, lambda2_abs=-2.0)
 
 
 class TestBoundsCi:

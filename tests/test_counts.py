@@ -1,9 +1,10 @@
 """Every count of the library's entry points is checked by ``data.require_count``:
 a count that is not an integer (2.5, 3.0, nan, inf or a bool) raises
 ``ValueError("<name> must be an integer, got <value!r>")``, one below its minimum
-raises ``ValueError("<name> must be >= <minimum>, got <value>")``, and no other
-module keeps a check of its own. A value outside a real range is named in its
-error too."""
+raises ``ValueError("<name> must be >= <minimum>, got <value>")``, one above 2**53,
+which no float holds exactly, raises ``ValueError("<name> must be <= 2**53, got
+<value>")``, and no other module keeps a check of its own. A value outside a real
+range is named in its error too."""
 
 import ast
 import functools
@@ -192,6 +193,10 @@ GAMMA_OVERFLOWS = [
         (lambda: geomsim.classify_regime(-1.0, 0.1, 0.2, 0.3), "noise_r must be >= 0 and finite, got -1.0"),
         (lambda: metrics.arc(math.nan, 0.5), "acr_final must lie in [0, 1], got nan"),
         (lambda: metrics.relative_gacr(0.5, math.nan), "gacr_init must lie in [0, 1], got nan"),
+        (lambda: geomsim.connectivity_radius_closed_form(2, 1.0, 10**200), f"n must be <= 2**53, got {10**200}"),
+        (lambda: geomsim.nn_distance_closed_form(1, 2, 1.0, 10**400), f"n must be <= 2**53, got {10**400}"),
+        (lambda: bounds.collision_probability(10**400, 2), f"M must be <= 2**53, got {10**400}"),
+        (lambda: bounds.bounds_ci(bounds.BoundInputs(m_negatives=10**400)), f"M must be <= 2**53, got {10**400}"),
     ],
     ids=[
         "cosine-threshold",
@@ -208,6 +213,10 @@ GAMMA_OVERFLOWS = [
         "regime-noise-negative",
         "arc-final-nan",
         "relative-gacr-init-nan",
+        "connectivity-n-1e200",
+        "nn-n-1e400",
+        "collision-m-1e400",
+        "bounds-ci-m-1e400",
     ],
 )
 def test_range_error_names_its_value(call, text):
@@ -220,6 +229,12 @@ def test_require_count_reports_the_first_count_below_the_minimum():
     data.require_count(2, a=2, b=5)
     with pytest.raises(ValueError, match="^b must be >= 2, got 1$"):
         data.require_count(2, a=3, b=1, c=0)
+
+
+def test_require_count_refuses_what_no_float_holds():
+    data.require_count(1, a=2**53, b=np.int64(2**53))
+    with pytest.raises(ValueError, match=rf"^b must be <= 2\*\*53, got {2**53 + 1}$"):
+        data.require_count(1, a=2**53, b=np.int64(2**53 + 1))
 
 
 def test_require_count_takes_numpy_integers_and_refuses_numpy_bools():
